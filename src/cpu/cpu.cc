@@ -4,15 +4,6 @@
 #include "support/bitops.h"
 #include "support/error.h"
 
-// Computed-goto threaded dispatch needs the GNU labels-as-values extension;
-// CICMON_NO_COMPUTED_GOTO force-selects the devirtualized handler-table
-// fallback so CI can keep that path compiled and byte-identical.
-#if defined(__GNUC__) && !defined(CICMON_NO_COMPUTED_GOTO)
-#define CICMON_THREADED_COMPUTED_GOTO 1
-#else
-#define CICMON_THREADED_COMPUTED_GOTO 0
-#endif
-
 namespace cicmon::cpu {
 namespace {
 
@@ -22,16 +13,12 @@ Engine g_default_engine =
 #else
     Engine::kSwitch;
 #endif
-bool g_default_translate_cache = true;
-bool g_default_chain = true;
 
 constexpr unsigned kV0 = 2;
 constexpr unsigned kA0 = 4;
 constexpr unsigned kA1 = 5;
 
 std::size_t sp(uop::SpecialReg r) { return static_cast<std::size_t>(r); }
-
-using isa::consumes_early;
 
 // Structural check that the shared IF program is exactly the canonical
 // Figure 1 shape (plus the Figure 3(b) monitoring tail when monitored).
@@ -74,14 +61,6 @@ bool is_canonical_fetch(const std::vector<uop::Uop>& fetch, bool monitored) {
 Engine default_engine() { return g_default_engine; }
 
 void set_default_engine(Engine engine) { g_default_engine = engine; }
-
-bool default_translate_cache() { return g_default_translate_cache; }
-
-void set_default_translate_cache(bool enabled) { g_default_translate_cache = enabled; }
-
-bool default_chain() { return g_default_chain; }
-
-void set_default_chain(bool enabled) { g_default_chain = enabled; }
 
 std::string_view engine_name(Engine engine) {
   return engine == Engine::kThreaded ? "threaded" : "switch";
@@ -127,14 +106,10 @@ Cpu::Cpu(const CpuConfig& config, const casm_::Image& image, const LoadedImage* 
   gpr_[isa::kGp] = image.data_base;
   text_base_ = image.text_base;
   text_end_ = image.text_end();
-  if (config_.predecode_cache) {
-    predecode_.resize((text_end_ - text_base_) / 4);
-  }
   fast_fetch_ = is_canonical_fetch(spec_->fetch, spec_->monitoring_embedded);
   if (config_.engine == Engine::kThreaded && fast_fetch_) {
     fused_ = uop::build_fused_table(*spec_);
-    tcache_ = std::make_unique<uop::TranslationCache>(text_base_, text_end_,
-                                                      config_.translate_cache);
+    tcache_ = std::make_unique<uop::TranslationCache>(text_base_, text_end_);
     threaded_ = true;
   }
 }
@@ -333,96 +308,99 @@ void Cpu::handle_pending_monitor_exception() {
   }
 }
 
-void Cpu::run_fetch_stage() {
-  if (!fast_fetch_) {
-    uop::execute_ops(std::span<const uop::Uop>(spec_->fetch), ctx_, *this);
-    return;
-  }
+Cpu::IfLatch Cpu::fetch_and_hash(std::uint32_t pc) {
   // Straight-line equivalent of the canonical IF program, verified against
-  // the spec at construction. Effects (temps written, special-register
-  // traffic, fetch and hash calls) match the interpreter bit for bit.
-  auto& t = ctx_.temps;
-  const std::uint32_t pc = special_[sp(uop::SpecialReg::kCpc)];
-  t[0] = pc;                                     // current_pc = CPC.read()
-  const std::uint32_t word = fetch_.fetch(pc);   // instr = IMAU.read(current_pc)
-  t[1] = word;
-  special_[sp(uop::SpecialReg::kIReg)] = word;   // IReg.write(instr)
-  t[2] = 4;
-  const std::uint32_t next_pc = pc + 4;
-  t[3] = next_pc;
-  special_[sp(uop::SpecialReg::kCpc)] = next_pc;  // CPC.inc()
+  // the spec at construction (fast_fetch_). Effects (special-register
+  // traffic, fetch and hash calls) match the interpreter bit for bit; the
+  // temps it would write come from write_if_temps.
+  IfLatch f;
+  f.word = fetch_.fetch(pc);                      // instr = IMAU.read(current_pc)
+  special_[sp(uop::SpecialReg::kIReg)] = f.word;  // IReg.write(instr)
+  special_[sp(uop::SpecialReg::kCpc)] = pc + 4;   // CPC.inc()
   if (spec_->monitoring_embedded) {
     // Figure 3(b): latch the block start, fold the word into the hash.
-    const std::uint32_t start = special_[sp(uop::SpecialReg::kSta)];
-    t[uop::MonitorTemps::kStartIf] = start;
-    if (start == 0) special_[sp(uop::SpecialReg::kSta)] = pc;
-    const std::uint32_t old_hash = special_[sp(uop::SpecialReg::kRhash)];
-    t[uop::MonitorTemps::kOldHash] = old_hash;
-    const std::uint32_t new_hash = cic_->hash_step(old_hash, word);
-    t[uop::MonitorTemps::kNewHash] = new_hash;
-    special_[sp(uop::SpecialReg::kRhash)] = new_hash;
+    f.sta_before = special_[sp(uop::SpecialReg::kSta)];
+    if (f.sta_before == 0) special_[sp(uop::SpecialReg::kSta)] = pc;
+    f.old_hash = special_[sp(uop::SpecialReg::kRhash)];
+    f.new_hash = cic_->hash_step(f.old_hash, f.word);
+    special_[sp(uop::SpecialReg::kRhash)] = f.new_hash;
+  }
+  return f;
+}
+
+void Cpu::write_if_temps(std::uint32_t pc, const IfLatch& f) {
+  auto& t = ctx_.temps;
+  t[0] = pc;  // current_pc
+  t[1] = f.word;
+  t[2] = 4;
+  t[3] = pc + 4;
+  if (spec_->monitoring_embedded) {
+    t[uop::MonitorTemps::kStartIf] = f.sta_before;
+    t[uop::MonitorTemps::kOldHash] = f.old_hash;
+    t[uop::MonitorTemps::kNewHash] = f.new_hash;
   }
 }
 
-void Cpu::account_hazards(const isa::Instruction& instr) {
+void Cpu::charge_icache_stall(std::uint64_t& clock) {
+  if (const std::uint64_t stall = fetch_.take_stall_cycles(); stall != 0) {
+    clock += stall;
+    result_.icache_stall_cycles += stall;
+  }
+}
+
+void Cpu::run_fetch_stage() {
+  const std::uint32_t pc = special_[sp(uop::SpecialReg::kCpc)];
+  if (fast_fetch_) {
+    write_if_temps(pc, fetch_and_hash(pc));
+  } else {
+    uop::execute_ops(std::span<const uop::Uop>(spec_->fetch), ctx_, *this);
+  }
+  charge_icache_stall(result_.cycles);
+}
+
+std::uint32_t Cpu::past_id(std::uint32_t word) const {
+  // The hash saw the clean word; execution proceeds on the flipped one — a
+  // fault in a latch downstream of the check point.
+  if (post_id_fault_.has_value() && result_.instructions == post_id_fault_->index) {
+    word ^= post_id_fault_->xor_mask;
+  }
+  return word;
+}
+
+template <typename Clock>
+void Cpu::account_hazards(const isa::Hazards& h, bool redirected, std::uint64_t& stalls,
+                          Clock now) {
   // Redirect bubble: the front end refetches after a control transfer
   // resolves in ID.
-  if (pc_redirected_ && config_.timing.frontend_stages > 1) {
+  if (redirected && config_.timing.frontend_stages > 1) {
     const std::uint64_t bubble = config_.timing.frontend_stages - 1;
-    result_.cycles += bubble;
+    stalls += bubble;
     result_.branch_bubbles += bubble;
   }
-
   // Load-use: the previous instruction was a load whose destination this
   // instruction consumes in ID/EX.
-  if (prev_load_dst_ != 0 && consumes_early(instr, prev_load_dst_)) {
-    result_.cycles += config_.timing.load_use_stall;
+  if (prev_load_dst_ != 0 && (prev_load_dst_ == h.early_a || prev_load_dst_ == h.early_b)) {
+    stalls += config_.timing.load_use_stall;
     result_.load_use_stalls += config_.timing.load_use_stall;
   }
-  prev_load_dst_ = 0;
-  if (instr.valid()) {
-    const isa::InstrClass cls = instr.info().cls;
-    if (cls == isa::InstrClass::kLoad) prev_load_dst_ = instr.rt;
-    if (cls == isa::InstrClass::kMulDiv) {
-      const bool is_div =
-          instr.mnemonic == isa::Mnemonic::kDiv || instr.mnemonic == isa::Mnemonic::kDivu;
-      hilo_ready_cycle_ =
-          result_.cycles + (is_div ? config_.timing.div_latency : config_.timing.mult_latency);
-    }
-    if ((instr.mnemonic == isa::Mnemonic::kMfhi || instr.mnemonic == isa::Mnemonic::kMflo) &&
-        result_.cycles < hilo_ready_cycle_) {
-      const std::uint64_t stall = hilo_ready_cycle_ - result_.cycles;
-      result_.cycles += stall;
+  prev_load_dst_ = h.load_dst;
+  if (h.muldiv_lat != 0) {
+    hilo_ready_cycle_ =
+        now() + (h.muldiv_lat == 2 ? config_.timing.div_latency : config_.timing.mult_latency);
+  }
+  if (h.is_mfhilo) {
+    if (const std::uint64_t t = now(); t < hilo_ready_cycle_) {
+      const std::uint64_t stall = hilo_ready_cycle_ - t;
+      stalls += stall;
       result_.muldiv_stalls += stall;
     }
   }
 }
 
-void Cpu::account_hazards_entry(const uop::TransEntry& e) {
-  // account_hazards against the metadata precomputed at translation time.
-  // Fused kinds always carry a valid instruction, so the valid() branch of
-  // the generic version is folded into the precompute (invalid words travel
-  // through the interpreter as kGeneric / kIllegal).
-  if (pc_redirected_ && config_.timing.frontend_stages > 1) {
-    const std::uint64_t bubble = config_.timing.frontend_stages - 1;
-    result_.cycles += bubble;
-    result_.branch_bubbles += bubble;
-  }
-  if (prev_load_dst_ != 0 &&
-      (prev_load_dst_ == e.early_a || prev_load_dst_ == e.early_b)) {
-    result_.cycles += config_.timing.load_use_stall;
-    result_.load_use_stalls += config_.timing.load_use_stall;
-  }
-  prev_load_dst_ = e.load_dst;
-  if (e.muldiv_lat != 0) {
-    hilo_ready_cycle_ = result_.cycles + (e.muldiv_lat == 2 ? config_.timing.div_latency
-                                                            : config_.timing.mult_latency);
-  }
-  if (e.is_mfhilo && result_.cycles < hilo_ready_cycle_) {
-    const std::uint64_t stall = hilo_ready_cycle_ - result_.cycles;
-    result_.cycles += stall;
-    result_.muldiv_stalls += stall;
-  }
+void Cpu::retire(const isa::Hazards& h) {
+  ++result_.instructions;
+  ++result_.cycles;
+  account_hazards(h, pc_redirected_, result_.cycles, [this] { return result_.cycles; });
 }
 
 std::optional<RunResult> Cpu::step() {
@@ -450,40 +428,30 @@ std::optional<RunResult> Cpu::step() {
 
   // --- IF: shared fetch program (hash step included when monitored) ---
   run_fetch_stage();
-  const std::uint64_t icache_stall = fetch_.take_stall_cycles();
-  result_.cycles += icache_stall;
-  result_.icache_stall_cycles += icache_stall;
-
-  std::uint32_t word = ctx_.temps[1];  // the fetched (possibly tampered) word
-  if (post_id_fault_.has_value() && result_.instructions == post_id_fault_->index) {
-    // The hash above saw the clean word; execution proceeds on the flipped
-    // one — a fault in a latch downstream of the check point.
-    word ^= post_id_fault_->xor_mask;
-  }
+  const std::uint32_t word = past_id(ctx_.temps[1]);  // the word the pipeline carries
 
   // Predecode cache: tagged by the word the pipeline actually carries, so
   // any tampered or refetched-differently word misses and decodes fresh.
-  const uop::InstrUops* program;
-  if (!predecode_.empty()) {
-    Predecoded& slot = predecode_[(addr - text_base_) / 4];
-    if (slot.program == nullptr || slot.word != word) {
-      ++predecode_misses_;
-      slot.word = word;
-      slot.instr = isa::decode(word);
-      slot.program = &spec_->program(slot.instr.mnemonic);
-    }
-    ctx_.instr = slot.instr;
-    program = slot.program;
-  } else {
-    ctx_.instr = isa::decode(word);
-    program = &spec_->program(ctx_.instr.mnemonic);
+  // Sized here, not at construction: only step() reads it.
+  if (predecode_.empty()) predecode_.resize((text_end_ - text_base_) / 4);
+  Predecoded& slot = predecode_[(addr - text_base_) / 4];
+  ++predecode_lookups_;
+  if (slot.program == nullptr || slot.word != word) {
+    ++predecode_misses_;
+    slot.word = word;
+    slot.instr = isa::decode(word);
+    slot.hazards = isa::hazards_of(slot.instr);
+    slot.program = &spec_->program(slot.instr.mnemonic);
   }
+  ctx_.instr = slot.instr;
 
-  if (exec_stages(program) == ExecStatus::kTerminated) return finish_result();
+  if (exec_stages(slot.program, slot.hazards) == ExecStatus::kTerminated) {
+    return finish_result();
+  }
   return std::nullopt;  // retired or rolled back; either way, still running
 }
 
-Cpu::ExecStatus Cpu::exec_stages(const uop::InstrUops* program) {
+Cpu::ExecStatus Cpu::exec_stages(const uop::InstrUops* program, isa::Hazards hazards) {
   // PPC tracks the instruction occupying ID (Figure 4 reads the block's end
   // address from it).
   special_[sp(uop::SpecialReg::kPpc)] = ctx_.instr_addr;
@@ -509,9 +477,7 @@ Cpu::ExecStatus Cpu::exec_stages(const uop::InstrUops* program) {
   }
   if (!running_) return ExecStatus::kTerminated;
 
-  ++result_.instructions;
-  ++result_.cycles;
-  account_hazards(ctx_.instr);
+  retire(hazards);
   return ExecStatus::kRetired;
 }
 
@@ -533,12 +499,9 @@ void Cpu::publish_metrics() const {
   obs::bump(k_runs);
   obs::bump(k_instructions, result_.instructions);
   if (!predecode_.empty()) {
+    // The table exists only once step() ran; every lookup is a hit or a miss.
     obs::bump(k_predecode_misses, predecode_misses_);
-    // Hits are derived, not counted: a per-hit bump on the hottest branch in
-    // the interpreter would be the whole telemetry overhead budget.
-    obs::bump(k_predecode_hits, result_.instructions > predecode_misses_
-                                    ? result_.instructions - predecode_misses_
-                                    : 0);
+    obs::bump(k_predecode_hits, predecode_lookups_ - predecode_misses_);
   }
   if (tcache_ != nullptr) {
     static const obs::CounterId k_chain_follows = obs::counter("engine.chain.follows");
@@ -601,78 +564,78 @@ Cpu::FusedFlow Cpu::tampered_entry(std::uint32_t word) {
   ++tcache_mismatches_;
   tcache_->invalidate(cur_block_start_);
   ctx_.instr = isa::decode(word);
-  return exec_stages(&spec_->program(ctx_.instr.mnemonic)) == ExecStatus::kTerminated
+  return exec_stages(&spec_->program(ctx_.instr.mnemonic), isa::hazards_of(ctx_.instr)) ==
+                 ExecStatus::kTerminated
              ? FusedFlow::kDone
              : FusedFlow::kRestart;
 }
 
-template <uop::FusedKind K>
+void Cpu::flush_batch(const uop::TransEntry* next) {
+  // Entries [batch_base_, next) retired through the batched handlers: one
+  // instruction and one base cycle each, plus the dynamic stalls (I-cache,
+  // load-use, muldiv) accumulated in batch_extra_. The stat breakdown
+  // counters (icache_stall_cycles, load_use_stalls, muldiv_stalls) were
+  // bumped as they happened — only the aggregates were deferred.
+  const std::uint64_t retired = static_cast<std::uint64_t>(next - batch_base_);
+  result_.instructions += retired;
+  result_.cycles += retired + batch_extra_;
+  batch_base_ = next;
+  batch_extra_ = 0;
+}
+
+std::uint64_t Cpu::batched_cycles(const uop::TransEntry* e) const {
+  // The cycle count the unbatched path would show right after entry `e`
+  // retires (base cycle per batched entry, dynamic stalls in batch_extra_) —
+  // the clock the muldiv latency model runs on.
+  return result_.cycles + static_cast<std::uint64_t>(e - batch_base_ + 1) + batch_extra_;
+}
+
+template <uop::FusedKind K, bool Batched>
 Cpu::FusedFlow Cpu::fused_step(const uop::TransEntry& e) {
   using FK = uop::FusedKind;
+  static_assert(!Batched || !uop::is_block_terminator(K));
 
   // Prologue: step()'s exact per-instruction order. Mid-block entries skip
   // the wild-PC check only — non-terminators never redirect, and translation
   // never crosses the text end, so e.addr is always a valid text address.
-  if (result_.instructions >= config_.max_instructions) {
-    terminate(ExitReason::kWatchdog, 0);
-    return FusedFlow::kDone;
-  }
-  ctx_.instr_addr = e.addr;
-  if (config_.recovery.enabled && config_.monitoring &&
-      special_[sp(uop::SpecialReg::kSta)] == 0) {
-    checkpoint_block(e.addr);
-  }
-  // IF: the real fetch path (bus, I-cache, hash step), exactly as step()
-  // runs it. Fused kinds never read the IF temps, so the specialized path
-  // keeps the fetched values in locals and skips the ctx_.temps stores;
-  // kGeneric hands the entry to the interpreter, whose programs may read
-  // them, so it runs the full shared fetch stage. e.addr == CPC here: the
-  // block loop enters at CPC and every fall-through fetch set CPC = pc + 4.
-  std::uint32_t word;
-  [[maybe_unused]] std::uint32_t sta_before = 0, old_hash = 0, new_hash = 0;
-  if constexpr (K == FK::kGeneric) {
-    run_fetch_stage();
-    word = ctx_.temps[1];
-  } else {
-    word = fetch_.fetch(e.addr);
-    special_[sp(uop::SpecialReg::kIReg)] = word;
-    special_[sp(uop::SpecialReg::kCpc)] = e.addr + 4;
-    if (spec_->monitoring_embedded) {
-      sta_before = special_[sp(uop::SpecialReg::kSta)];
-      if (sta_before == 0) special_[sp(uop::SpecialReg::kSta)] = e.addr;
-      old_hash = special_[sp(uop::SpecialReg::kRhash)];
-      new_hash = cic_->hash_step(old_hash, word);
-      special_[sp(uop::SpecialReg::kRhash)] = new_hash;
+  // Batched entries also skip the watchdog, recovery and post-ID checks (the
+  // per-block precheck in run_threaded proved none can fire inside the
+  // straight-line run) and the instr_addr/PPC/redirect stores (straight-line
+  // kinds never redirect, raise, or read them). The real fetch path and the
+  // tag compare are never skipped: tamper safety stays per dynamic
+  // instruction.
+  if constexpr (!Batched) {
+    if (result_.instructions >= config_.max_instructions) {
+      terminate(ExitReason::kWatchdog, 0);
+      return FusedFlow::kDone;
+    }
+    ctx_.instr_addr = e.addr;
+    if (config_.recovery.enabled && config_.monitoring &&
+        special_[sp(uop::SpecialReg::kSta)] == 0) {
+      checkpoint_block(e.addr);
     }
   }
-  const std::uint64_t icache_stall = fetch_.take_stall_cycles();
-  result_.cycles += icache_stall;
-  result_.icache_stall_cycles += icache_stall;
-
-  [[maybe_unused]] const std::uint32_t clean_word = word;
-  if (post_id_fault_.has_value() && result_.instructions == post_id_fault_->index) {
-    word ^= post_id_fault_->xor_mask;
-  }
+  // IF. e.addr == CPC here: the block loop enters at CPC and every
+  // fall-through fetch set CPC = pc + 4.
+  const IfLatch f = fetch_and_hash(e.addr);
+  charge_icache_stall(Batched ? batch_extra_ : result_.cycles);
+  const std::uint32_t word = Batched ? f.word : past_id(f.word);
   if (word != e.word) [[unlikely]] {
-    if constexpr (K != FK::kGeneric) {
-      // Rebuild the IF temps run_fetch_stage would have written — the
-      // interpreter program the fallback runs may read them.
-      auto& t = ctx_.temps;
-      t[0] = e.addr;
-      t[1] = clean_word;
-      t[2] = 4;
-      t[3] = e.addr + 4;
-      if (spec_->monitoring_embedded) {
-        t[uop::MonitorTemps::kStartIf] = sta_before;
-        t[uop::MonitorTemps::kOldHash] = old_hash;
-        t[uop::MonitorTemps::kNewHash] = new_hash;
-      }
+    // Replay through the interpreter, whose program may read the IF temps.
+    // A batched entry first folds the prefix before it into result_ (this
+    // entry has not retired).
+    write_if_temps(e.addr, f);
+    if constexpr (Batched) {
+      ctx_.instr_addr = e.addr;
+      flush_batch(&e);
     }
     return tampered_entry(word);
   }
 
-  special_[sp(uop::SpecialReg::kPpc)] = e.addr;
-  pc_redirected_ = false;
+  if constexpr (!Batched) {
+    special_[sp(uop::SpecialReg::kPpc)] = e.addr;
+    pc_redirected_ = false;
+  }
 
   if constexpr (K == FK::kAluRR) {
     write_gpr(e.dst, uop::alu_eval(e.alu, gpr_[e.a], gpr_[e.b]));
@@ -715,9 +678,7 @@ Cpu::FusedFlow Cpu::fused_step(const uop::TransEntry& e) {
       return FusedFlow::kRestart;
     }
     if (e.link) write_gpr(e.dst, e.addr + 4);
-    ++result_.instructions;
-    ++result_.cycles;
-    account_hazards_entry(e);
+    retire(e.hazards);
     // Direct edges report which way the block exited so the block loop can
     // follow (or install) the matching chain link; the indirect jump-register
     // edge always returns to the loop for a fresh lookup.
@@ -731,9 +692,7 @@ Cpu::FusedFlow Cpu::fused_step(const uop::TransEntry& e) {
   } else if constexpr (K == FK::kSyscall) {
     syscall();
     if (!running_) return FusedFlow::kDone;
-    ++result_.instructions;
-    ++result_.cycles;
-    account_hazards_entry(e);
+    retire(e.hazards);
     return FusedFlow::kRestart;
   } else if constexpr (K == FK::kIllegal) {
     illegal_instruction();  // rolls the block back or terminates
@@ -746,140 +705,32 @@ Cpu::FusedFlow Cpu::fused_step(const uop::TransEntry& e) {
     // instruction through the interpreter, sharing exec_stages with step().
     // A retire without a PC redirect is a fall-through to the next word —
     // the chainable edge resolve_edges precomputed for generic terminators.
+    write_if_temps(e.addr, f);
     ctx_.instr = e.instr;
-    const ExecStatus status = exec_stages(e.program);
+    const ExecStatus status = exec_stages(e.program, e.hazards);
     if (status == ExecStatus::kTerminated) return FusedFlow::kDone;
     if (status == ExecStatus::kRolledBack) return FusedFlow::kRestart;
     return pc_redirected_ ? FusedFlow::kRestart : FusedFlow::kFall;
   }
 
-  // Straight-line kinds retire here and fall through to the next entry.
-  ++result_.instructions;
-  ++result_.cycles;
-  account_hazards_entry(e);
-  return FusedFlow::kNext;
-}
-
-void Cpu::flush_batch(const uop::TransEntry* next) {
-  // Entries [batch_base_, next) retired through the fast handlers: one
-  // instruction and one base cycle each, plus the dynamic stalls (I-cache,
-  // load-use, muldiv) accumulated in batch_extra_. The stat breakdown
-  // counters (icache_stall_cycles, load_use_stalls, muldiv_stalls) were
-  // bumped as they happened — only the aggregates were deferred.
-  const std::uint64_t retired = static_cast<std::uint64_t>(next - batch_base_);
-  result_.instructions += retired;
-  result_.cycles += retired + batch_extra_;
-  batch_base_ = next;
-  batch_extra_ = 0;
-}
-
-std::uint64_t Cpu::batched_cycles(const uop::TransEntry* e) const {
-  // The cycle count the slow path would show right after entry `e` retires
-  // (base cycle per batched entry, dynamic stalls in batch_extra_) — the
-  // clock the muldiv latency model runs on.
-  return result_.cycles + static_cast<std::uint64_t>(e - batch_base_ + 1) + batch_extra_;
-}
-
-template <uop::FusedKind K>
-Cpu::FusedFlow Cpu::fused_fast(const uop::TransEntry& e) {
-  using FK = uop::FusedKind;
-  static_assert(!uop::is_block_terminator(K));
-
-  // Batched prologue. The per-block precheck in run_threaded proved the
-  // watchdog cannot trip inside the straight-line run, no post-ID fault
-  // lands on one of its dynamic indices, and recovery checkpointing is off;
-  // straight-line kinds never redirect, raise, or read PPC/instr_addr. So
-  // the per-entry watchdog/recovery/post-ID checks and the instr_addr/PPC/
-  // pc_redirected_ stores are all skipped. The real fetch path and the tag
-  // compare are NOT skipped — tamper safety stays per dynamic instruction.
-  const std::uint32_t word = fetch_.fetch(e.addr);
-  special_[sp(uop::SpecialReg::kIReg)] = word;
-  special_[sp(uop::SpecialReg::kCpc)] = e.addr + 4;
-  [[maybe_unused]] std::uint32_t sta_before = 0, old_hash = 0, new_hash = 0;
-  if (spec_->monitoring_embedded) {
-    sta_before = special_[sp(uop::SpecialReg::kSta)];
-    if (sta_before == 0) special_[sp(uop::SpecialReg::kSta)] = e.addr;
-    old_hash = special_[sp(uop::SpecialReg::kRhash)];
-    new_hash = cic_->hash_step(old_hash, word);
-    special_[sp(uop::SpecialReg::kRhash)] = new_hash;
-  }
-  if (const std::uint64_t icache_stall = fetch_.take_stall_cycles(); icache_stall != 0) {
-    batch_extra_ += icache_stall;
-    result_.icache_stall_cycles += icache_stall;
-  }
-
-  if (word != e.word) [[unlikely]] {
-    // Same fallback as the slow handler: rebuild the IF temps the fallback
-    // program may read, fold the batched prefix into result_ (this entry has
-    // not retired), and replay the word through the interpreter.
-    ctx_.instr_addr = e.addr;
-    auto& t = ctx_.temps;
-    t[0] = e.addr;
-    t[1] = word;
-    t[2] = 4;
-    t[3] = e.addr + 4;
-    if (spec_->monitoring_embedded) {
-      t[uop::MonitorTemps::kStartIf] = sta_before;
-      t[uop::MonitorTemps::kOldHash] = old_hash;
-      t[uop::MonitorTemps::kNewHash] = new_hash;
-    }
-    flush_batch(&e);
-    return tampered_entry(word);
-  }
-
-  if constexpr (K == FK::kAluRR) {
-    write_gpr(e.dst, uop::alu_eval(e.alu, gpr_[e.a], gpr_[e.b]));
-  } else if constexpr (K == FK::kAluRI) {
-    write_gpr(e.dst, uop::alu_eval(e.alu, gpr_[e.a], e.imm));
-  } else if constexpr (K == FK::kImmWrite) {
-    write_gpr(e.dst, e.imm);
-  } else if constexpr (K == FK::kLoad) {
-    write_gpr(e.dst, load(gpr_[e.a] + e.imm, e.width, e.sign_extend));
-  } else if constexpr (K == FK::kStore) {
-    store(gpr_[e.a] + e.imm, e.width, gpr_[e.b]);
-  } else if constexpr (K == FK::kMulDiv) {
-    const uop::HiLo r = uop::muldiv_eval(e.muldiv, gpr_[e.a], gpr_[e.b]);
-    special_[sp(uop::SpecialReg::kHi)] = r.hi;
-    special_[sp(uop::SpecialReg::kLo)] = r.lo;
-  } else if constexpr (K == FK::kHiLoRead) {
-    write_gpr(e.dst, special_[e.hilo]);
+  // Straight-line kinds retire here and fall through to the next entry. A
+  // batched entry charges its stalls to batch_extra_ against the deferred
+  // clock (batched_cycles == what result_.cycles would be here); the
+  // breakdown counters stay exact either way.
+  if constexpr (Batched) {
+    account_hazards(e.hazards, /*redirected=*/false, batch_extra_,
+                    [&] { return batched_cycles(&e); });
   } else {
-    static_assert(K == FK::kHiLoWrite);
-    special_[e.hilo] = gpr_[e.a];
-  }
-
-  // account_hazards_entry against the deferred clock: stalls accumulate in
-  // batch_extra_, the latency model reads batched_cycles (== what the slow
-  // path's result_.cycles would be here), and the breakdown counters are
-  // exact. No redirect bubble: straight-line kinds never redirect.
-  if (prev_load_dst_ != 0 &&
-      (prev_load_dst_ == e.early_a || prev_load_dst_ == e.early_b)) {
-    batch_extra_ += config_.timing.load_use_stall;
-    result_.load_use_stalls += config_.timing.load_use_stall;
-  }
-  prev_load_dst_ = e.load_dst;
-  if constexpr (K == FK::kMulDiv) {
-    hilo_ready_cycle_ = batched_cycles(&e) + (e.muldiv_lat == 2 ? config_.timing.div_latency
-                                                                : config_.timing.mult_latency);
-  }
-  if constexpr (K == FK::kHiLoRead) {
-    if (const std::uint64_t now = batched_cycles(&e); e.is_mfhilo && now < hilo_ready_cycle_) {
-      const std::uint64_t stall = hilo_ready_cycle_ - now;
-      batch_extra_ += stall;
-      result_.muldiv_stalls += stall;
-    }
+    retire(e.hazards);
   }
   return FusedFlow::kNext;
 }
 
 RunResult Cpu::run_threaded() {
-  // Chaining requires a persistent cache: scratch blocks are re-used by the
-  // next translation, so disabled-cache mode never links.
-  const bool chain_on = config_.chain && tcache_->enabled();
   // Recovery checkpoints key on "STA == 0 at fetch", a per-instruction
-  // predicate the batched prologue elides — recovery runs force the slow
-  // handlers for every entry.
-  const bool slow_only = config_.recovery.enabled && config_.monitoring;
+  // predicate the batched prologue elides — recovery runs force the
+  // unbatched handlers for every entry.
+  const bool unbatched_only = config_.recovery.enabled && config_.monitoring;
   // A direct-edge block exit whose successor was not yet linked: the link is
   // installed right after the next lookup/translate produces that successor.
   uop::TranslatedBlock* link_from = nullptr;
@@ -906,141 +757,75 @@ RunResult Cpu::run_threaded() {
     if (link_from != nullptr) {
       // chain() re-verifies that this block really is the recorded edge
       // target before installing the link.
-      if (chain_on) tcache_->chain(link_from, link_taken, block);
+      tcache_->chain(link_from, link_taken, block);
       link_from = nullptr;
     }
 
     FusedFlow flow = FusedFlow::kRestart;
     const uop::TransEntry* e;
-    bool use_fast;
   enter_block:
     cur_block_start_ = block->start;
     e = block->entries.data();
     // Batched accounting is only valid when nothing can interrupt the
     // straight-line prefix: the watchdog must not trip inside it, no post-ID
     // fault may land on one of its dynamic indices, and recovery is off. The
-    // terminator always runs its slow handler, which re-checks everything
-    // against the flushed counters.
-    use_fast = !slow_only &&
-               result_.instructions + block->straight_len <= config_.max_instructions &&
-               (!post_id_fault_.has_value() ||
-                post_id_fault_->index < result_.instructions ||
-                post_id_fault_->index >= result_.instructions + block->straight_len);
+    // terminator always runs unbatched, after the batch is flushed, and
+    // re-checks everything against the flushed counters.
+    const bool batched =
+        !unbatched_only &&
+        result_.instructions + block->straight_len <= config_.max_instructions &&
+        (!post_id_fault_.has_value() || post_id_fault_->index < result_.instructions ||
+         post_id_fault_->index >= result_.instructions + block->straight_len);
     batch_base_ = e;
 
-#if CICMON_THREADED_COMPUTED_GOTO
     {
       // Threaded dispatch: each handler jumps straight to the next entry's
       // handler. Blocks always end in a terminator entry (the translator
       // force-converts capped tails to kGeneric), so ++e never runs off the
-      // end. Both label tables must match the FusedKind enumerator order.
-      static const void* const kSlowLabels[uop::kNumFusedKinds] = {
-          &&l_alu_rr,  &&l_alu_ri,    &&l_imm_write,  &&l_load,    &&l_store,
-          &&l_muldiv,  &&l_hilo_read, &&l_hilo_write, &&l_branch2, &&l_branch1,
-          &&l_jump,    &&l_jump_reg,  &&l_syscall,    &&l_illegal, &&l_generic};
-      // Fast table: batched handlers for the eight straight-line kinds; the
-      // seven terminator kinds detour through l_flush, which folds the batch
-      // into result_ and re-dispatches to the slow handler.
-      static const void* const kFastLabels[uop::kNumFusedKinds] = {
-          &&f_alu_rr,  &&f_alu_ri,    &&f_imm_write,  &&f_load,    &&f_store,
-          &&f_muldiv,  &&f_hilo_read, &&f_hilo_write, &&l_flush,   &&l_flush,
-          &&l_flush,   &&l_flush,     &&l_flush,      &&l_flush,   &&l_flush};
-      const void* const* labels = use_fast ? kFastLabels : kSlowLabels;
+      // end. Row 0 holds the unbatched handlers (l_*), row 1 the batched ones
+      // (b_*); a batched terminator folds the batch into result_ and jumps to
+      // its unbatched handler.
+#define CICMON_UNBATCHED_LABEL(kind, terminator) &&l_##kind,
+#define CICMON_BATCHED_LABEL(kind, terminator) &&b_##kind,
+      static const void* const kLabels[2][uop::kNumFusedKinds] = {
+          {CICMON_FUSED_KINDS(CICMON_UNBATCHED_LABEL)},
+          {CICMON_FUSED_KINDS(CICMON_BATCHED_LABEL)}};
+#undef CICMON_UNBATCHED_LABEL
+#undef CICMON_BATCHED_LABEL
+      const void* const* labels = kLabels[batched ? 1 : 0];
       goto* labels[static_cast<unsigned>(e->kind)];
-#define CICMON_HANDLE(label, fn, fk)                                \
-  label:                                                            \
-  flow = fn<uop::FusedKind::fk>(*e);                                \
-  if (flow == FusedFlow::kNext) {                                   \
-    ++e;                                                            \
-    goto* labels[static_cast<unsigned>(e->kind)];                   \
-  }                                                                 \
+#define CICMON_DISPATCH_NEXT                      \
+  if (flow == FusedFlow::kNext) {                 \
+    ++e;                                          \
+    goto* labels[static_cast<unsigned>(e->kind)]; \
+  }                                               \
   goto block_done
-      CICMON_HANDLE(l_alu_rr, fused_step, kAluRR);
-      CICMON_HANDLE(l_alu_ri, fused_step, kAluRI);
-      CICMON_HANDLE(l_imm_write, fused_step, kImmWrite);
-      CICMON_HANDLE(l_load, fused_step, kLoad);
-      CICMON_HANDLE(l_store, fused_step, kStore);
-      CICMON_HANDLE(l_muldiv, fused_step, kMulDiv);
-      CICMON_HANDLE(l_hilo_read, fused_step, kHiLoRead);
-      CICMON_HANDLE(l_hilo_write, fused_step, kHiLoWrite);
-      CICMON_HANDLE(l_branch2, fused_step, kBranch2);
-      CICMON_HANDLE(l_branch1, fused_step, kBranch1);
-      CICMON_HANDLE(l_jump, fused_step, kJump);
-      CICMON_HANDLE(l_jump_reg, fused_step, kJumpReg);
-      CICMON_HANDLE(l_syscall, fused_step, kSyscall);
-      CICMON_HANDLE(l_illegal, fused_step, kIllegal);
-      CICMON_HANDLE(l_generic, fused_step, kGeneric);
-      CICMON_HANDLE(f_alu_rr, fused_fast, kAluRR);
-      CICMON_HANDLE(f_alu_ri, fused_fast, kAluRI);
-      CICMON_HANDLE(f_imm_write, fused_fast, kImmWrite);
-      CICMON_HANDLE(f_load, fused_fast, kLoad);
-      CICMON_HANDLE(f_store, fused_fast, kStore);
-      CICMON_HANDLE(f_muldiv, fused_fast, kMulDiv);
-      CICMON_HANDLE(f_hilo_read, fused_fast, kHiLoRead);
-      CICMON_HANDLE(f_hilo_write, fused_fast, kHiLoWrite);
-#undef CICMON_HANDLE
-    l_flush:
-      flush_batch(e);
-      goto* kSlowLabels[static_cast<unsigned>(e->kind)];
+#define CICMON_BATCHED_true(kind) \
+  flush_batch(e);                 \
+  goto l_##kind
+#define CICMON_BATCHED_false(kind)                   \
+  flow = fused_step<uop::FusedKind::kind, true>(*e); \
+  CICMON_DISPATCH_NEXT
+#define CICMON_HANDLERS(kind, terminator)             \
+  l_##kind:                                           \
+  flow = fused_step<uop::FusedKind::kind, false>(*e); \
+  CICMON_DISPATCH_NEXT;                               \
+  b_##kind:                                           \
+  CICMON_BATCHED_##terminator(kind);
+      CICMON_FUSED_KINDS(CICMON_HANDLERS)
+#undef CICMON_HANDLERS
+#undef CICMON_BATCHED_false
+#undef CICMON_BATCHED_true
+#undef CICMON_DISPATCH_NEXT
     block_done:;
     }
-#else
-    // Devirtualized fallback: handler tables over the same fused_step /
-    // fused_fast instantiations, so the two dispatch strategies cannot
-    // diverge.
-    {
-      using Handler = FusedFlow (Cpu::*)(const uop::TransEntry&);
-      static constexpr Handler kSlowHandlers[uop::kNumFusedKinds] = {
-          &Cpu::fused_step<uop::FusedKind::kAluRR>,
-          &Cpu::fused_step<uop::FusedKind::kAluRI>,
-          &Cpu::fused_step<uop::FusedKind::kImmWrite>,
-          &Cpu::fused_step<uop::FusedKind::kLoad>,
-          &Cpu::fused_step<uop::FusedKind::kStore>,
-          &Cpu::fused_step<uop::FusedKind::kMulDiv>,
-          &Cpu::fused_step<uop::FusedKind::kHiLoRead>,
-          &Cpu::fused_step<uop::FusedKind::kHiLoWrite>,
-          &Cpu::fused_step<uop::FusedKind::kBranch2>,
-          &Cpu::fused_step<uop::FusedKind::kBranch1>,
-          &Cpu::fused_step<uop::FusedKind::kJump>,
-          &Cpu::fused_step<uop::FusedKind::kJumpReg>,
-          &Cpu::fused_step<uop::FusedKind::kSyscall>,
-          &Cpu::fused_step<uop::FusedKind::kIllegal>,
-          &Cpu::fused_step<uop::FusedKind::kGeneric>};
-      // Fast handlers cover only the eight straight-line kinds (enumerator
-      // indices 0..7); terminators flush the batch and run slow.
-      static constexpr Handler kFastHandlers[8] = {
-          &Cpu::fused_fast<uop::FusedKind::kAluRR>,
-          &Cpu::fused_fast<uop::FusedKind::kAluRI>,
-          &Cpu::fused_fast<uop::FusedKind::kImmWrite>,
-          &Cpu::fused_fast<uop::FusedKind::kLoad>,
-          &Cpu::fused_fast<uop::FusedKind::kStore>,
-          &Cpu::fused_fast<uop::FusedKind::kMulDiv>,
-          &Cpu::fused_fast<uop::FusedKind::kHiLoRead>,
-          &Cpu::fused_fast<uop::FusedKind::kHiLoWrite>};
-      for (;;) {
-        const auto kind = static_cast<unsigned>(e->kind);
-        if (use_fast) {
-          if (uop::is_block_terminator(e->kind)) {
-            flush_batch(e);
-            flow = (this->*kSlowHandlers[kind])(*e);
-          } else {
-            flow = (this->*kFastHandlers[kind])(*e);
-          }
-        } else {
-          flow = (this->*kSlowHandlers[kind])(*e);
-        }
-        if (flow != FusedFlow::kNext) break;
-        ++e;
-      }
-    }
-#endif
 
     if (flow == FusedFlow::kTaken || flow == FusedFlow::kFall) {
       const bool taken = flow == FusedFlow::kTaken;
       uop::TranslatedBlock* next = taken ? block->taken : block->fall;
       if (next != nullptr) {
         // Chain follow: flow straight into the successor. The watchdog is
-        // covered by the per-block precheck plus the slow terminator
+        // covered by the per-block precheck plus the unbatched terminator
         // handlers, and the link target was verified to be a text address
         // when the edge was resolved — the outer loop's checks are
         // subsumed, not skipped.
@@ -1048,12 +833,10 @@ RunResult Cpu::run_threaded() {
         block = next;
         goto enter_block;
       }
-      if (chain_on) {
-        ++chain_breaks_;
-        if (taken ? block->has_taken : block->has_fall) {
-          link_from = block;
-          link_taken = taken;
-        }
+      ++chain_breaks_;
+      if (taken ? block->has_taken : block->has_fall) {
+        link_from = block;
+        link_taken = taken;
       }
     }
   }

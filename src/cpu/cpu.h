@@ -53,24 +53,20 @@
 
 namespace cicmon::cpu {
 
-// Execution engine. kSwitch is the PR 2 predecode interpreter (per-uop
-// dispatch through execute_ops); kThreaded translates hot blocks into fused
-// superinstruction handlers behind the tamper-safe translation cache. Both
-// engines produce byte-identical results — the engine is a pure execution
-// strategy, like the predecode cache or the job count.
+// Execution engine. kSwitch is the reference oracle: the predecoded uop
+// interpreter (per-uop dispatch through execute_ops). kThreaded is the fast
+// path: fused superinstruction handlers over chained blocks behind the
+// tamper-safe translation cache. Both engines produce byte-identical results
+// — the engine is a pure execution strategy, like the job count.
 enum class Engine : std::uint8_t { kSwitch, kThreaded };
 
-// Process-wide defaults picked up by freshly constructed CpuConfig values.
+// Process-wide default picked up by freshly constructed CpuConfig values.
 // The sweep builders construct their configs deep inside per-cell lambdas, so
-// the CLI applies `--engine` / `--translate-cache` here once, before the
-// sweep is built. The built-in default is kThreaded in Release (NDEBUG)
-// builds and kSwitch in Debug builds.
+// the CLI applies `--engine` here once, before the sweep is built. The
+// built-in default is kThreaded in Release (NDEBUG) builds and kSwitch in
+// Debug builds.
 Engine default_engine();
 void set_default_engine(Engine engine);
-bool default_translate_cache();
-void set_default_translate_cache(bool enabled);
-bool default_chain();
-void set_default_chain(bool enabled);
 
 std::string_view engine_name(Engine engine);
 
@@ -106,24 +102,7 @@ struct CpuConfig {
   TimingConfig timing;
   RecoveryConfig recovery;
   std::uint64_t max_instructions = 200'000'000;  // watchdog for fault campaigns
-  // Per-text-address predecode cache, tagged by the raw fetched word. A tag
-  // match reuses the cached decode; any divergence of the fetched word (bus
-  // tamper, cache-resident flips, memory rewrites, post-ID faults) misses the
-  // tag and falls back to a fresh isa::decode, so every simulated result is
-  // byte-identical with the cache on or off. Off exists for A/B tests.
-  bool predecode_cache = true;
-  // Execution engine and its block-level translation cache. The translation
-  // cache is tagged per entry by the fetched word (same tamper-safety
-  // contract as the predecode cache); disabling it retranslates every block
-  // and exists for the same A/B byte-identity tests.
   Engine engine = default_engine();
-  bool translate_cache = default_translate_cache();
-  // Superblock chaining: cache verified taken/fall-through links between
-  // translated blocks so the threaded engine flows block-to-block without a
-  // dispatch-loop round trip. Pure execution strategy — byte-identical on or
-  // off; every link is severed when either endpoint invalidates (tamper
-  // safety). Off exists for the same A/B byte-identity tests.
-  bool chain = default_chain();
 };
 
 enum class ExitReason : std::uint8_t {
@@ -240,10 +219,10 @@ class Cpu final : private uop::Datapath {
   // Null unless the threaded engine is active (its stats expose translation /
   // hit / invalidation counts for the tamper tests).
   const uop::TranslationCache* translation_cache() const { return tcache_.get(); }
-  // Predecode-cache fills (cold slots or tag-mismatch redecodes). Hits are
-  // instructions minus misses when the cache is on, so the hot path never
-  // pays a per-hit count.
+  // Predecode-cache fills (cold slots or tag-mismatch redecodes) and lookups;
+  // only step() consults the cache, once per instruction it fetches.
   std::uint64_t predecode_misses() const { return predecode_misses_; }
+  std::uint64_t predecode_lookups() const { return predecode_lookups_; }
   // Translation-tag mismatches the threaded engine replayed via interpreter.
   std::uint64_t tcache_mismatches() const { return tcache_mismatches_; }
   // Block transitions that flowed through a cached chain link, and direct-edge
@@ -283,9 +262,38 @@ class Cpu final : private uop::Datapath {
   void attach_loaded(const LoadedImage& loaded);
 
   void terminate(ExitReason reason, std::uint32_t code);
+
+  // IF of one dynamic instruction. fetch_and_hash is the canonical fetch
+  // program as straight-line code: the real fetch path (bus, I-cache),
+  // IReg/CPC, and the Figure 3(b) block-start latch and RHASH fold; it
+  // returns what the program would leave in its temps, and write_if_temps
+  // stores them for interpreter programs that may read them.
+  // run_fetch_stage is step()'s IF (straight-line when the fetch program is
+  // canonical, interpreted otherwise). charge_icache_stall moves the fetch
+  // path's refill stall onto `clock` (result_.cycles, or batch_extra_ while
+  // a batch is open).
+  struct IfLatch {
+    std::uint32_t word = 0;        // the fetched (possibly tampered) word
+    std::uint32_t sta_before = 0;  // STA before this fetch (0 = opens a block)
+    std::uint32_t old_hash = 0;
+    std::uint32_t new_hash = 0;
+  };
+  CICMON_HOT_INLINE IfLatch fetch_and_hash(std::uint32_t pc);
+  CICMON_HOT_INLINE void write_if_temps(std::uint32_t pc, const IfLatch& latch);
+  CICMON_HOT_INLINE void charge_icache_stall(std::uint64_t& clock);
   CICMON_HOT_INLINE void run_fetch_stage();
-  CICMON_HOT_INLINE void account_hazards(const isa::Instruction& instr);
-  CICMON_HOT_INLINE void account_hazards_entry(const uop::TransEntry& entry);
+  // The word the pipeline carries past ID: `word`, XORed by the post-ID
+  // latch fault when it lands on this dynamic instruction.
+  CICMON_HOT_INLINE std::uint32_t past_id(std::uint32_t word) const;
+
+  // The one timing rule: redirect bubble, load-use stall, mult/div latency.
+  // Stall cycles are added to `stalls` (the clock being advanced) and the
+  // latency model reads the current cycle count through `now()`.
+  template <typename Clock>
+  CICMON_HOT_INLINE void account_hazards(const isa::Hazards& hazards, bool redirected,
+                                         std::uint64_t& stalls, Clock now);
+  // Retires one instruction on the unbatched clock.
+  CICMON_HOT_INLINE void retire(const isa::Hazards& hazards);
   void handle_pending_monitor_exception();
   void checkpoint_block(std::uint32_t block_start);
   bool try_rollback();
@@ -293,9 +301,10 @@ class Cpu final : private uop::Datapath {
   // Shared post-fetch tail of one dynamic instruction (ID..WB stages, pending
   // monitor exception, retirement) — the single definition both step() and
   // the threaded engine's interpreter fallback execute through, so the two
-  // engines cannot drift. Requires ctx_.instr / ctx_.instr_addr to be set.
+  // engines cannot drift. Requires ctx_.instr / ctx_.instr_addr to be set;
+  // `hazards` must describe ctx_.instr.
   enum class ExecStatus : std::uint8_t { kRetired, kTerminated, kRolledBack };
-  ExecStatus exec_stages(const uop::InstrUops* program);
+  ExecStatus exec_stages(const uop::InstrUops* program, isa::Hazards hazards);
 
   // --- Threaded engine (fused superinstruction handlers) ---
   // What the block driver does after one fused entry: fall through to the
@@ -304,15 +313,13 @@ class Cpu final : private uop::Datapath {
   // redirect by a generic program, rollback, or tag mismatch handled), or
   // stop (program terminated).
   enum class FusedFlow : std::uint8_t { kNext, kTaken, kFall, kRestart, kDone };
-  template <uop::FusedKind K>
+  // One fused handler per kind. Batched (straight-line kinds only) skips the
+  // per-entry watchdog/recovery/post-ID checks (proven impossible by the
+  // per-block precheck in run_threaded) and defers the retire/cycle bump to
+  // flush_batch. The real fetch path and the tag compare are never skipped —
+  // tamper safety stays per dynamic instruction.
+  template <uop::FusedKind K, bool Batched>
   FusedFlow fused_step(const uop::TransEntry& entry);
-  // Batched-accounting twin of fused_step for the straight-line kinds only:
-  // skips the per-entry watchdog/recovery/post-ID checks (proven impossible
-  // by the per-block precheck in run_threaded) and defers the retire/cycle
-  // bump to flush_batch. The real fetch path and the tag compare are NOT
-  // skipped — tamper safety stays per dynamic instruction.
-  template <uop::FusedKind K>
-  FusedFlow fused_fast(const uop::TransEntry& entry);
   // Folds the batched straight-line prefix ending just before `next` into
   // result_ (one retired instruction and one base cycle per entry, plus the
   // accumulated dynamic stalls in batch_extra_).
@@ -338,14 +345,19 @@ class Cpu final : private uop::Datapath {
   // within each dynamic instruction, so the temp file is never re-zeroed.
   uop::ExecContext ctx_;
 
-  // Predecode cache, one slot per text word, tagged by the raw fetched word
-  // (program == nullptr marks an empty slot).
+  // Predecode cache for step(), one slot per text word, tagged by the raw
+  // fetched word (program == nullptr marks an empty slot). A tag match
+  // reuses the cached decode; any divergence of the fetched word (bus tamper,
+  // cache-resident flips, memory rewrites, post-ID faults) misses the tag and
+  // decodes fresh. Sized on the first step(), so threaded runs never build it.
   struct Predecoded {
     std::uint32_t word = 0;
     const uop::InstrUops* program = nullptr;
     isa::Instruction instr;
+    isa::Hazards hazards;
   };
   std::vector<Predecoded> predecode_;
+  std::uint64_t predecode_lookups_ = 0;
   std::uint64_t predecode_misses_ = 0;
   std::uint64_t tcache_mismatches_ = 0;
 

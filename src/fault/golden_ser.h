@@ -74,7 +74,7 @@ struct GoldenState {
 // fields the golden state depends on — workload identity and scale, the
 // campaign's fault/seed parameters, the monitor configuration, and the
 // checkpoint schedule — and nothing execution-strategy-shaped (engine,
-// translate cache, jobs), which never changes the state. Orchestrator and
+// jobs), which never changes the state. Orchestrator and
 // worker build the key from their own flags; a mismatch means config skew
 // and downgrades shipping to local derivation.
 std::string golden_key(const std::vector<std::pair<std::string, std::string>>& fields);

@@ -53,6 +53,56 @@ Instruction decode(std::uint32_t word) {
 
 namespace {
 
+// True if `instr` consumes GPR `reg` in its ID or EX stage.
+bool consumes_early(const Instruction& instr, unsigned reg) {
+  if (reg == 0 || !instr.valid()) return false;
+  switch (instr.info().operands) {
+    case OperandPattern::kRdRsRt:
+    case OperandPattern::kRsRt:
+    case OperandPattern::kRsRtLabel:
+      return instr.rs == reg || instr.rt == reg;
+    case OperandPattern::kRdRtShamt:
+      return instr.rt == reg;
+    case OperandPattern::kRdRtRs:
+      return instr.rt == reg || instr.rs == reg;
+    case OperandPattern::kRs:
+    case OperandPattern::kRdRs:
+    case OperandPattern::kRtRsImm:
+    case OperandPattern::kRsLabel:
+      return instr.rs == reg;
+    case OperandPattern::kRtOffBase:
+      return instr.rs == reg;  // address base; stored rt forwards at MEM
+    case OperandPattern::kRd:
+    case OperandPattern::kRtImm:
+    case OperandPattern::kLabel:
+    case OperandPattern::kNone:
+      return false;
+  }
+  return false;
+}
+
+}  // namespace
+
+Hazards hazards_of(const Instruction& instr) {
+  // consumes_early only ever matches rs or rt, so probing those two covers
+  // every operand pattern; register 0 can never be a true dependency, so 0
+  // doubles as "none".
+  Hazards h;
+  if (!instr.valid()) return h;
+  h.early_a = consumes_early(instr, instr.rs) ? instr.rs : 0;
+  h.early_b = consumes_early(instr, instr.rt) ? instr.rt : 0;
+  const InstrClass cls = instr.info().cls;
+  if (cls == InstrClass::kLoad) h.load_dst = instr.rt;
+  if (cls == InstrClass::kMulDiv) {
+    const bool is_div = instr.mnemonic == Mnemonic::kDiv || instr.mnemonic == Mnemonic::kDivu;
+    h.muldiv_lat = is_div ? 2 : 1;
+  }
+  h.is_mfhilo = instr.mnemonic == Mnemonic::kMfhi || instr.mnemonic == Mnemonic::kMflo;
+  return h;
+}
+
+namespace {
+
 std::uint32_t pack(std::uint8_t opcode, unsigned rs, unsigned rt, unsigned rd,
                    unsigned shamt, std::uint8_t funct) {
   return (static_cast<std::uint32_t>(opcode) << 26) | (rs << 21) | (rt << 16) |

@@ -44,38 +44,21 @@ struct Instruction {
 // Decodes a raw instruction word. Total: every word decodes to something.
 Instruction decode(std::uint32_t word);
 
-// True if `instr` consumes GPR `reg` in its ID or EX stage — the window in
-// which a just-loaded value is not yet available without a bubble. Store
-// data (rt of sb/sh/sw) is consumed in MEM and forwards without stalling.
-// Shared by the cycle model and the threaded engine's translator (which
-// precomputes the early-consumed registers per translated entry) so the two
-// load-use accountings cannot drift.
-inline bool consumes_early(const Instruction& instr, unsigned reg) {
-  if (reg == 0 || !instr.valid()) return false;
-  switch (instr.info().operands) {
-    case OperandPattern::kRdRsRt:
-    case OperandPattern::kRsRt:
-    case OperandPattern::kRsRtLabel:
-      return instr.rs == reg || instr.rt == reg;
-    case OperandPattern::kRdRtShamt:
-      return instr.rt == reg;
-    case OperandPattern::kRdRtRs:
-      return instr.rt == reg || instr.rs == reg;
-    case OperandPattern::kRs:
-    case OperandPattern::kRdRs:
-    case OperandPattern::kRtRsImm:
-    case OperandPattern::kRsLabel:
-      return instr.rs == reg;
-    case OperandPattern::kRtOffBase:
-      return instr.rs == reg;  // address base; stored rt forwards at MEM
-    case OperandPattern::kRd:
-    case OperandPattern::kRtImm:
-    case OperandPattern::kLabel:
-    case OperandPattern::kNone:
-      return false;
-  }
-  return false;
-}
+// What the cycle model's hazard rule needs to know about one instruction,
+// derived once per decoded word. The predecode cache and every translated
+// entry cache it, so the retire path never re-inspects the instruction.
+struct Hazards {
+  // GPRs consumed in ID/EX (0 = none): the load-use comparison targets. A
+  // just-loaded value is not yet available to them without a bubble; store
+  // data (rt of sb/sh/sw) is consumed in MEM and forwards without stalling.
+  std::uint8_t early_a = 0;
+  std::uint8_t early_b = 0;
+  std::uint8_t load_dst = 0;    // rt when this is a load, else 0
+  std::uint8_t muldiv_lat = 0;  // 0 = not muldiv, 1 = mult latency, 2 = div latency
+  bool is_mfhilo = false;       // mfhi/mflo: stalls until HI/LO is ready
+};
+
+Hazards hazards_of(const Instruction& instr);
 
 // --- Encoding helpers (used by the assembler and the builder API) ---
 std::uint32_t encode_r(Mnemonic m, unsigned rd, unsigned rs, unsigned rt, unsigned shamt = 0);

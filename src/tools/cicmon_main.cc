@@ -119,8 +119,6 @@ struct Options {
   // Empty = build-type default; kept as text so dispatch can forward the
   // explicit choice to its workers.
   std::string engine_flag;
-  std::string translate_cache_flag;
-  std::string chain_flag;
   // bench: repeat each cell's identical run N times, keep the fastest wall
   // clock (simulated results unchanged). Replaces the ad-hoc shell loops the
   // BENCH_*.json methodology used to script.
@@ -199,19 +197,11 @@ struct Options {
       "                   section with the trials/sec trajectory metric (the\n"
       "                   dispatched form adds the fleet telemetry) instead\n"
       "  --engine E       execution engine: 'threaded' (fused superinstruction\n"
-      "                   handlers behind a tamper-safe translation cache) or\n"
-      "                   'switch' (the per-uop predecode interpreter); both\n"
-      "                   produce byte-identical results (default: threaded in\n"
-      "                   Release builds, switch in Debug builds)\n"
-      "  --translate-cache on|off\n"
-      "                   cache translated blocks (threaded engine only;\n"
-      "                   default on; off retranslates every block — exists\n"
-      "                   for A/B byte-identity checks)\n"
-      "  --chain on|off   chain translated blocks along verified direct edges\n"
-      "                   so the threaded engine flows block-to-block without\n"
-      "                   a dispatch-loop round trip (default on; links are\n"
-      "                   severed on any invalidation; off exists for A/B\n"
-      "                   byte-identity checks)\n"
+      "                   handlers over chained blocks behind a tamper-safe\n"
+      "                   translation cache) or 'switch' (the per-uop predecode\n"
+      "                   interpreter, the reference oracle); both produce\n"
+      "                   byte-identical results (default: threaded in Release\n"
+      "                   builds, switch in Debug builds)\n"
       "  --best-of N      bench: repeat each cell's identical run N times and\n"
       "                   keep the fastest wall clock (default 1; simulated\n"
       "                   instruction/cycle payloads are unaffected)\n"
@@ -323,14 +313,13 @@ std::string did_you_mean(std::string_view given, std::span<const std::string_vie
 constexpr std::array<std::string_view, 11> kCommands = {
     "table1", "fig6",  "blocks",    "bench", "campaign", "worker",
     "dispatch", "merge", "report", "workloads", "help"};
-constexpr std::array<std::string_view, 35> kFlags = {
+constexpr std::array<std::string_view, 33> kFlags = {
     "--scale", "--jobs",    "--entries", "--capacities", "--workload", "--site",
     "--bits",  "--trials",  "--seed",    "--monitor",    "--json",     "--shard",
     "--out",   "--force",   "--workers", "--shards",     "--transport", "--retries",
     "--timeout", "--dir",   "--quiet",   "--dry-run",    "--exec-per-shard", "--help",
-    "--engine", "--translate-cache", "--chain", "--best-of", "--checkpoints",
-    "--checkpoint-stride", "--golden-cache", "--ship-golden", "--trace", "--metrics",
-    "--metrics-out"};
+    "--engine", "--best-of", "--checkpoints", "--checkpoint-stride", "--golden-cache",
+    "--ship-golden", "--trace", "--metrics", "--metrics-out"};
 
 // `first` is the index of the first flag: 2 for `cicmon <cmd> ...`, 3 for
 // `cicmon dispatch <cmd> ...`.
@@ -419,16 +408,6 @@ Options parse_options(int argc, char** argv, bool allow_positional, int first = 
         usage(2);
       }
       options.engine_flag = v;
-    } else if (flag == "--translate-cache") {
-      const std::string_view v = value();
-      if (v != "on" && v != "off") usage(2);
-      cpu::set_default_translate_cache(v == "on");
-      options.translate_cache_flag = v;
-    } else if (flag == "--chain") {
-      const std::string_view v = value();
-      if (v != "on" && v != "off") usage(2);
-      cpu::set_default_chain(v == "on");
-      options.chain_flag = v;
     } else if (flag == "--best-of") {
       options.best_of = parse_count(value(), 1, 1000);
     } else if (flag == "--checkpoints") {
@@ -615,8 +594,6 @@ int write_bench_json(const std::string& path, double scale, unsigned jobs, unsig
   json.value_u64(best_of);
   json.key("engine");
   json.value(std::string(cpu::engine_name(cpu::default_engine())));
-  json.key("chain");
-  json.value(cpu::default_chain() ? "on" : "off");
   json.key("workloads");
   json.begin_array();
   for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -794,10 +771,9 @@ struct SweepBundle {
 };
 
 // The canonical golden-state identity: every parameter the derived golden
-// state depends on, and nothing else. Execution strategies (engine,
-// translate cache, jobs) are deliberately excluded — they never change the
-// golden state, so a cache or shipment produced under one strategy serves
-// every other.
+// state depends on, and nothing else. Execution strategies (engine, jobs)
+// are deliberately excluded — they never change the golden state, so a
+// cache or shipment produced under one strategy serves every other.
 std::string campaign_golden_key(const Options& options) {
   return fault::golden_key({
       {"workload", options.workload},
@@ -1093,12 +1069,6 @@ std::vector<std::string> worker_sweep_flags(std::string_view command, const Opti
   // dispatch runs the engine the user asked for.
   if (!options.engine_flag.empty()) {
     flags.insert(flags.end(), {"--engine", options.engine_flag});
-  }
-  if (!options.translate_cache_flag.empty()) {
-    flags.insert(flags.end(), {"--translate-cache", options.translate_cache_flag});
-  }
-  if (!options.chain_flag.empty()) {
-    flags.insert(flags.end(), {"--chain", options.chain_flag});
   }
   // best_of is a bench sweep parameter: workers must run the same repeat
   // count or their artifacts fail validation against the dispatch params.

@@ -15,6 +15,7 @@
 
 #include <array>
 #include <cstdint>
+#include <iterator>
 #include <span>
 
 #include "isa/opcodes.h"
@@ -26,52 +27,44 @@ namespace cicmon::uop {
 // uop_build.cc produce a handful of shapes parameterized by ALU op, operand
 // selectors, and widths, and the fused handlers carry those parameters.
 //
-// The enumerator order is load-bearing: the threaded engine's dispatch tables
-// (computed-goto labels and the devirtualized handler table) are indexed by
-// this value.
-enum class FusedKind : std::uint8_t {
-  kAluRR,      // GPR[dst] <- alu(GPR[a], GPR[b])        (alu_rrr, shift_var)
-  kAluRI,      // GPR[dst] <- alu(GPR[a], imm)           (alu_imm, shift_imm)
-  kImmWrite,   // GPR[dst] <- imm                        (lui)
-  kLoad,       // GPR[dst] <- mem[GPR[a] + off]
-  kStore,      // mem[GPR[a] + off] <- GPR[b]
-  kMulDiv,     // HI/LO <- muldiv(GPR[a], GPR[b])
-  kHiLoRead,   // GPR[dst] <- HI or LO
-  kHiLoWrite,  // HI or LO <- GPR[a]
-  kBranch2,    // if alu(GPR[a], GPR[b]) then CPC <- target
-  kBranch1,    // if alu(GPR[a]) then CPC <- target
-  kJump,       // CPC <- target [, GPR[dst] <- link]
-  kJumpReg,    // CPC <- GPR[a] [, GPR[dst] <- link]
-  kSyscall,
-  kIllegal,
-  kGeneric,    // unmatched shape: full interpreter fallback
-};
-inline constexpr unsigned kNumFusedKinds = 15;
+// X(kind, terminator) lists every shape once; the enum, the terminator
+// predicate and the threaded engine's dispatch tables are all generated from
+// it, so they cannot fall out of order. A terminator ends a translated block:
+// flow control ends the basic block (the paper's check-region boundary), and
+// syscall/illegal/generic can terminate the run or redirect the PC, so the
+// engine returns to the block loop after them.
+#define CICMON_FUSED_KINDS(X)                                                      \
+  X(kAluRR, false)     /* GPR[dst] <- alu(GPR[a], GPR[b])  (alu_rrr, shift_var) */ \
+  X(kAluRI, false)     /* GPR[dst] <- alu(GPR[a], imm)     (alu_imm, shift_imm) */ \
+  X(kImmWrite, false)  /* GPR[dst] <- imm                  (lui) */                \
+  X(kLoad, false)      /* GPR[dst] <- mem[GPR[a] + off] */                         \
+  X(kStore, false)     /* mem[GPR[a] + off] <- GPR[b] */                           \
+  X(kMulDiv, false)    /* HI/LO <- muldiv(GPR[a], GPR[b]) */                       \
+  X(kHiLoRead, false)  /* GPR[dst] <- HI or LO */                                  \
+  X(kHiLoWrite, false) /* HI or LO <- GPR[a] */                                    \
+  X(kBranch2, true)    /* if alu(GPR[a], GPR[b]) then CPC <- target */             \
+  X(kBranch1, true)    /* if alu(GPR[a]) then CPC <- target */                     \
+  X(kJump, true)       /* CPC <- target [, GPR[dst] <- link] */                    \
+  X(kJumpReg, true)    /* CPC <- GPR[a] [, GPR[dst] <- link] */                    \
+  X(kSyscall, true)                                                                \
+  X(kIllegal, true)                                                                \
+  X(kGeneric, true)    /* unmatched shape: full interpreter fallback */
 
-// Kinds that end a translated block. Flow control ends the basic block (the
-// paper's check-region boundary); syscall/illegal/generic can terminate the
-// run or redirect the PC, so the engine returns to the block loop after them.
+enum class FusedKind : std::uint8_t {
+#define CICMON_FUSED_ENUM(kind, terminator) kind,
+  CICMON_FUSED_KINDS(CICMON_FUSED_ENUM)
+#undef CICMON_FUSED_ENUM
+};
+
+inline constexpr bool kFusedTerminator[] = {
+#define CICMON_FUSED_TERMINATOR(kind, terminator) terminator,
+    CICMON_FUSED_KINDS(CICMON_FUSED_TERMINATOR)
+#undef CICMON_FUSED_TERMINATOR
+};
+inline constexpr unsigned kNumFusedKinds = std::size(kFusedTerminator);
+
 inline constexpr bool is_block_terminator(FusedKind kind) {
-  switch (kind) {
-    case FusedKind::kBranch2:
-    case FusedKind::kBranch1:
-    case FusedKind::kJump:
-    case FusedKind::kJumpReg:
-    case FusedKind::kSyscall:
-    case FusedKind::kIllegal:
-    case FusedKind::kGeneric:
-      return true;
-    case FusedKind::kAluRR:
-    case FusedKind::kAluRI:
-    case FusedKind::kImmWrite:
-    case FusedKind::kLoad:
-    case FusedKind::kStore:
-    case FusedKind::kMulDiv:
-    case FusedKind::kHiLoRead:
-    case FusedKind::kHiLoWrite:
-      return false;
-  }
-  return true;
+  return kFusedTerminator[static_cast<unsigned>(kind)];
 }
 
 // Per-mnemonic classification result: the shape plus the parameters the

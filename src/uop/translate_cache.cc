@@ -35,22 +35,7 @@ TransEntry make_entry(std::uint32_t addr, std::uint32_t word, const IsaUopSpec& 
   e.b = resolve(op.b_sel, e.instr);
   e.dst = resolve(op.dst_sel, e.instr);
 
-  // Hazard metadata for the fused retire path. consumes_early only ever
-  // matches rs or rt, so probing those two covers every operand pattern;
-  // register 0 can never be a true dependency, so 0 doubles as "none".
-  if (e.instr.valid()) {
-    e.early_a = isa::consumes_early(e.instr, e.instr.rs) ? e.instr.rs : 0;
-    e.early_b = isa::consumes_early(e.instr, e.instr.rt) ? e.instr.rt : 0;
-    const isa::InstrClass cls = e.instr.info().cls;
-    if (cls == isa::InstrClass::kLoad) e.load_dst = e.instr.rt;
-    if (cls == isa::InstrClass::kMulDiv) {
-      const bool is_div = e.instr.mnemonic == isa::Mnemonic::kDiv ||
-                          e.instr.mnemonic == isa::Mnemonic::kDivu;
-      e.muldiv_lat = is_div ? 2 : 1;
-    }
-    e.is_mfhilo = e.instr.mnemonic == isa::Mnemonic::kMfhi ||
-                  e.instr.mnemonic == isa::Mnemonic::kMflo;
-  }
+  e.hazards = isa::hazards_of(e.instr);
 
   switch (op.kind) {
     case FusedKind::kAluRI:
@@ -116,7 +101,6 @@ void TranslationCache::resolve_edges(TranslatedBlock* block) const {
 }
 
 void TranslationCache::chain(TranslatedBlock* from, bool taken_edge, TranslatedBlock* to) {
-  if (!enabled_) return;
   if (taken_edge) {
     if (!from->has_taken || from->taken != nullptr || to->start != from->taken_target) return;
     from->taken = to;

@@ -5,6 +5,7 @@
 #include "casm/builder.h"
 #include "cpu/cpu.h"
 #include "cpu/snapshot.h"
+#include "obs/metrics.h"
 
 namespace cicmon::cpu {
 namespace {
@@ -442,7 +443,7 @@ TEST(Monitoring, PostIdFaultEscapesMonitor) {
 }
 
 // Every observable field that the experiment layers consume. Used to assert
-// the predecode cache never changes simulated behaviour.
+// the engines never disagree on simulated behaviour.
 void expect_results_identical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.reason, b.reason);
   EXPECT_EQ(a.exit_code, b.exit_code);
@@ -484,52 +485,41 @@ casm_::Image checked_sum_loop() {
   return a.finalize();
 }
 
-TEST(PredecodeCache, CleanMonitoredRunIdenticalOnAndOff) {
-  const casm_::Image image = checked_sum_loop();
-  CpuConfig on;
-  on.monitoring = true;
-  on.cic.iht_entries = 8;
-  CpuConfig off = on;
-  off.predecode_cache = false;
-  Cpu cached(on, image);
-  Cpu plain(off, image);
-  expect_results_identical(cached.run(), plain.run());
+// The predecode cache serves the switch engine (the reference oracle); its
+// tamper safety is checked against the threaded engine, which never reads it.
+CpuConfig engine_config(Engine engine) {
+  CpuConfig config;
+  config.monitoring = true;
+  config.cic.iht_entries = 8;
+  config.engine = engine;
+  return config;
 }
 
-TEST(PredecodeCache, TextFlipDetectionIdenticalOnAndOff) {
-  // Flip a bit of the loop body *after* the first iterations populated the
-  // predecode cache would be ideal, but memory faults are injected before
-  // run(); what matters is that the cached entry for the clean word misses
-  // its tag once the corrupted word arrives and the detection results —
-  // latency (cycles), exit reason, IHT stats — stay bit-identical.
-  for (const bool cache_on : {true, false}) {
-    SCOPED_TRACE(cache_on ? "cache on" : "cache off");
-    const casm_::Image image = checked_sum_loop();
-    CpuConfig config;
-    config.monitoring = true;
-    config.cic.iht_entries = 8;
-    config.predecode_cache = cache_on;
-    Cpu cpu(config, image);
+TEST(PredecodeCache, CleanMonitoredRunMatchesThreaded) {
+  const casm_::Image image = checked_sum_loop();
+  Cpu oracle(engine_config(Engine::kSwitch), image);
+  Cpu threaded(engine_config(Engine::kThreaded), image);
+  expect_results_identical(oracle.run(), threaded.run());
+}
+
+TEST(PredecodeCache, TextFlipDetectionMatchesThreaded) {
+  // Memory faults are injected before run(), so the cached entry for the
+  // flipped address only ever holds the corrupted word; what matters is that
+  // the detection results — latency (cycles), exit reason, IHT stats — agree
+  // field by field with the engine that never consults the cache.
+  const casm_::Image image = checked_sum_loop();
+  RunResult results[2];
+  for (const Engine engine : {Engine::kSwitch, Engine::kThreaded}) {
+    SCOPED_TRACE(engine_name(engine));
+    Cpu cpu(engine_config(engine), image);
     const std::uint32_t addr = casm_::kTextBase + 8;
     cpu.memory().write32(addr, cpu.memory().read32(addr) ^ (1U << 11));  // rd bit: stays valid
     const RunResult r = cpu.run();
     EXPECT_EQ(r.reason, ExitReason::kMonitorTerminated);
     EXPECT_NE(r.monitor_cause, os::TerminationCause::kNone);
+    results[engine == Engine::kSwitch ? 0 : 1] = r;
   }
-  // And field-by-field equality of the two tampered runs.
-  const casm_::Image image = checked_sum_loop();
-  CpuConfig on;
-  on.monitoring = true;
-  on.cic.iht_entries = 8;
-  CpuConfig off = on;
-  off.predecode_cache = false;
-  Cpu cached(on, image);
-  Cpu plain(off, image);
-  for (Cpu* cpu : {&cached, &plain}) {
-    const std::uint32_t addr = casm_::kTextBase + 8;
-    cpu->memory().write32(addr, cpu->memory().read32(addr) ^ (1U << 11));
-  }
-  expect_results_identical(cached.run(), plain.run());
+  expect_results_identical(results[0], results[1]);
 }
 
 // Bus tamper that corrupts one specific dynamic fetch — the cache-resident
@@ -548,44 +538,85 @@ class OneShotTamper : public mem::BusTamper {
   std::uint32_t mask_;
 };
 
-TEST(PredecodeCache, BusTamperMidRunIdenticalOnAndOff) {
+TEST(PredecodeCache, BusTamperMidRunMatchesThreaded) {
   // The tampered word arrives at an address whose predecode slot already
   // holds the clean decode: the tag mismatch must force a fresh decode, so
-  // the corrupted instruction executes (and is detected) exactly as without
-  // the cache.
+  // the corrupted instruction executes (and is detected) exactly as on the
+  // threaded engine.
   const casm_::Image image = checked_sum_loop();
   RunResult results[2];
-  for (const bool cache_on : {true, false}) {
-    CpuConfig config;
-    config.monitoring = true;
-    config.cic.iht_entries = 8;
-    config.predecode_cache = cache_on;
-    Cpu cpu(config, image);
+  std::uint64_t tampered_misses = 0;
+  for (const Engine engine : {Engine::kSwitch, Engine::kThreaded}) {
+    Cpu cpu(engine_config(engine), image);
     OneShotTamper tamper(/*trigger=*/9, /*mask=*/1U << 11);  // mid-loop fetch
     cpu.fetch_path().set_bus_tamper(&tamper);
-    results[cache_on ? 0 : 1] = cpu.run();
+    results[engine == Engine::kSwitch ? 0 : 1] = cpu.run();
+    if (engine == Engine::kSwitch) tampered_misses = cpu.predecode_misses();
   }
   EXPECT_EQ(results[0].reason, ExitReason::kMonitorTerminated);
   expect_results_identical(results[0], results[1]);
+  // A clean run over the same fetches (the terminating instruction included)
+  // decodes one word fewer: the tampered word missed its slot's clean tag.
+  CpuConfig capped = engine_config(Engine::kSwitch);
+  capped.max_instructions = results[0].instructions + 1;
+  Cpu clean(capped, image);
+  clean.run();
+  EXPECT_EQ(tampered_misses, clean.predecode_misses() + 1);
 }
 
-TEST(PredecodeCache, PostIdFaultIdenticalOnAndOff) {
+TEST(PredecodeCache, PostIdFaultMatchesThreaded) {
   // The post-ID XOR rewrites the word *after* the hash saw it; the predecode
-  // slot is keyed by the pipeline's post-fault word, so the A/B runs must
+  // slot is keyed by the pipeline's post-fault word, so both engines must
   // agree on the (undetected) wrong-output outcome.
   const casm_::Image image = checked_sum_loop();
   RunResult results[2];
-  for (const bool cache_on : {true, false}) {
-    CpuConfig config;
-    config.monitoring = true;
-    config.cic.iht_entries = 8;
-    config.predecode_cache = cache_on;
-    Cpu cpu(config, image);
+  for (const Engine engine : {Engine::kSwitch, Engine::kThreaded}) {
+    Cpu cpu(engine_config(engine), image);
     cpu.set_post_id_fault({4, 1U << 16});
-    results[cache_on ? 0 : 1] = cpu.run();
+    results[engine == Engine::kSwitch ? 0 : 1] = cpu.run();
   }
   EXPECT_EQ(results[0].iht.mismatches, 0U);  // escaped the monitor (§3.2)
   expect_results_identical(results[0], results[1]);
+}
+
+std::uint64_t counter_in(const std::vector<std::pair<std::string, std::uint64_t>>& delta,
+                         std::string_view name) {
+  for (const auto& [key, value] : delta) {
+    if (key == name) return value;
+  }
+  return 0;
+}
+
+TEST(PredecodeCache, CountersCoverOnlySteppedInstructions) {
+  const casm_::Image image = checked_sum_loop();
+  {
+    // A threaded run() never steps, so it never builds or reads the table
+    // and publishes no predecode counters.
+    Cpu cpu(engine_config(Engine::kThreaded), image);
+    cpu.run();
+    EXPECT_EQ(cpu.predecode_lookups(), 0U);
+    const std::vector<std::uint64_t> before = obs::counter_values();
+    cpu.publish_metrics();
+    const auto delta = obs::counter_delta(before);
+    EXPECT_EQ(counter_in(delta, "engine.predecode.hits"), 0U);
+    EXPECT_EQ(counter_in(delta, "engine.predecode.misses"), 0U);
+    EXPECT_GT(counter_in(delta, "engine.instructions"), 0U);
+  }
+  {
+    // A switch run looks up every instruction it fetches: all that retired
+    // plus the final sys_exit, which is decoded but ends the run in ID.
+    Cpu cpu(engine_config(Engine::kSwitch), image);
+    const RunResult r = cpu.run();
+    EXPECT_EQ(cpu.predecode_lookups(), r.instructions + 1);
+    const std::vector<std::uint64_t> before = obs::counter_values();
+    cpu.publish_metrics();
+    const auto delta = obs::counter_delta(before);
+    const std::uint64_t hits = counter_in(delta, "engine.predecode.hits");
+    const std::uint64_t misses = counter_in(delta, "engine.predecode.misses");
+    EXPECT_EQ(hits + misses, r.instructions + 1);
+    EXPECT_EQ(misses, cpu.predecode_misses());
+    EXPECT_GT(hits, misses);  // the loop body decodes once and hits after
+  }
 }
 
 TEST(Monitoring, GprAndMemoryInspection) {

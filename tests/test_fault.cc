@@ -181,63 +181,29 @@ TEST(Campaign, ParallelDeterminismAcrossSitesOnRealWorkload) {
   }
 }
 
-TEST(Campaign, PredecodeCacheDoesNotChangeCampaignResults) {
-  // The tamper-safety contract of the decode cache, at campaign granularity:
-  // every outcome count must be bit-identical with the cache on and off,
-  // across the sites that corrupt fetched words in different places (memory
-  // rewrites, per-fetch bus flips, post-ID latch faults, cache-resident
-  // flips through a live I-cache).
-  const casm_::Image image = workloads::build_workload("bitcount", {0.02, 42});
-  cpu::CpuConfig on = monitored_config();
-  on.icache.enabled = true;  // exercise the icache-line site too
-  cpu::CpuConfig off = on;
-  off.predecode_cache = false;
-  CampaignRunner cached(image, on);
-  CampaignRunner plain(image, off);
-  for (const FaultSite site :
-       {FaultSite::kMemoryText, FaultSite::kFetchBus, FaultSite::kPostIdLatch,
-        FaultSite::kICacheLine}) {
-    const CampaignSummary a = cached.run_random(site, 1, 60, 13);
-    const CampaignSummary b = plain.run_random(site, 1, 60, 13);
-    EXPECT_TRUE(summaries_identical(a, b)) << fault_site_name(site);
-  }
-}
-
 TEST(Campaign, ThreadedEngineDoesNotChangeCampaignResults) {
-  // The tamper-safety contract of the threaded engine at campaign
+  // The tamper-safety contract of both engine caches at campaign
   // granularity: across every site that corrupts fetched words (memory
   // rewrites, per-fetch bus flips, post-ID latch faults, cache-resident
-  // flips through a live I-cache), the fused handlers and the block
-  // translation cache must reproduce the interpreter's outcome counts bit
-  // for bit — translation cache on or off, block chaining on or off (every
-  // injected fault that lands on a chained block must sever its links and
-  // replay through the interpreter identically).
+  // flips through a live I-cache), the oracle (the switch engine behind its
+  // predecode cache) and the threaded engine (fused handlers over chained,
+  // cached blocks; every injected fault that lands on a chained block must
+  // sever its links and replay through the interpreter) must produce
+  // bit-identical outcome counts.
   const casm_::Image image = workloads::build_workload("bitcount", {0.02, 42});
   cpu::CpuConfig interp = monitored_config();
-  interp.icache.enabled = true;
+  interp.icache.enabled = true;  // exercise the icache-line site too
   interp.engine = cpu::Engine::kSwitch;
   cpu::CpuConfig threaded = interp;
   threaded.engine = cpu::Engine::kThreaded;
-  threaded.translate_cache = true;
-  threaded.chain = true;
-  cpu::CpuConfig unchained = threaded;
-  unchained.chain = false;
-  cpu::CpuConfig uncached = threaded;
-  uncached.translate_cache = false;
   CampaignRunner a(image, interp);
   CampaignRunner b(image, threaded);
-  CampaignRunner b2(image, unchained);
-  CampaignRunner c(image, uncached);
   for (const FaultSite site :
        {FaultSite::kMemoryText, FaultSite::kFetchBus, FaultSite::kPostIdLatch,
         FaultSite::kICacheLine}) {
     const CampaignSummary sa = a.run_random(site, 1, 60, 13);
     const CampaignSummary sb = b.run_random(site, 1, 60, 13);
-    const CampaignSummary sb2 = b2.run_random(site, 1, 60, 13);
-    const CampaignSummary sc = c.run_random(site, 1, 60, 13);
-    EXPECT_TRUE(summaries_identical(sa, sb)) << fault_site_name(site) << " (chained)";
-    EXPECT_TRUE(summaries_identical(sa, sb2)) << fault_site_name(site) << " (chain off)";
-    EXPECT_TRUE(summaries_identical(sa, sc)) << fault_site_name(site) << " (uncached)";
+    EXPECT_TRUE(summaries_identical(sa, sb)) << fault_site_name(site);
   }
 }
 

@@ -463,13 +463,11 @@ casm_::Image checked_sum_loop() {
   return a.finalize();
 }
 
-cpu::CpuConfig engine_config(cpu::Engine engine, bool translate_cache, bool chain = true) {
+cpu::CpuConfig engine_config(cpu::Engine engine) {
   cpu::CpuConfig config;
   config.monitoring = true;
   config.cic.iht_entries = 8;
   config.engine = engine;
-  config.translate_cache = translate_cache;
-  config.chain = chain;
   return config;
 }
 
@@ -517,25 +515,17 @@ class OneShotTamper : public mem::BusTamper {
   std::uint32_t mask_;
 };
 
-TEST(TranslationCache, CleanRunIdenticalAcrossEnginesAndCacheModes) {
+TEST(TranslationCache, CleanRunIdenticalAcrossEngines) {
   const casm_::Image image = checked_sum_loop();
-  cpu::Cpu interp(engine_config(cpu::Engine::kSwitch, true), image);
-  cpu::Cpu cached(engine_config(cpu::Engine::kThreaded, true), image);
-  cpu::Cpu uncached(engine_config(cpu::Engine::kThreaded, false), image);
-  const cpu::RunResult a = interp.run();
-  const cpu::RunResult b = cached.run();
-  const cpu::RunResult c = uncached.run();
-  expect_runs_identical(a, b);
-  expect_runs_identical(a, c);
-  // The loop re-enters its block: with caching on the block translates once
-  // and hits thereafter; with caching off every entry retranslates.
+  cpu::Cpu interp(engine_config(cpu::Engine::kSwitch), image);
+  cpu::Cpu cached(engine_config(cpu::Engine::kThreaded), image);
+  expect_runs_identical(interp.run(), cached.run());
+  // The loop re-enters its block: it translates once and is reached through
+  // the cache or its chain link thereafter.
   ASSERT_NE(cached.translation_cache(), nullptr);
   EXPECT_GT(cached.translation_cache()->stats().translations, 0U);
   EXPECT_GT(cached.translation_cache()->stats().hits, 0U);
   EXPECT_EQ(cached.translation_cache()->stats().invalidations, 0U);
-  EXPECT_EQ(uncached.translation_cache()->stats().hits, 0U);
-  EXPECT_GT(uncached.translation_cache()->stats().translations,
-            cached.translation_cache()->stats().translations);
   EXPECT_EQ(interp.translation_cache(), nullptr);
 }
 
@@ -545,13 +535,10 @@ TEST(TranslationCache, BusTamperMidRunInvalidatesAndMatchesInterpreter) {
   // the corrupted word through the interpreter, and be detected exactly as
   // on the switch engine.
   const casm_::Image image = checked_sum_loop();
-  cpu::RunResult results[4];
-  const cpu::CpuConfig configs[4] = {
-      engine_config(cpu::Engine::kSwitch, true),
-      engine_config(cpu::Engine::kThreaded, true),
-      engine_config(cpu::Engine::kThreaded, true, /*chain=*/false),
-      engine_config(cpu::Engine::kThreaded, false)};
-  for (int i = 0; i < 4; ++i) {
+  cpu::RunResult results[2];
+  const cpu::CpuConfig configs[2] = {engine_config(cpu::Engine::kSwitch),
+                                     engine_config(cpu::Engine::kThreaded)};
+  for (int i = 0; i < 2; ++i) {
     cpu::Cpu cpu(configs[i], image);
     OneShotTamper tamper(/*trigger=*/9, /*mask=*/1U << 11);  // mid-loop fetch
     cpu.fetch_path().set_bus_tamper(&tamper);
@@ -567,8 +554,6 @@ TEST(TranslationCache, BusTamperMidRunInvalidatesAndMatchesInterpreter) {
   }
   EXPECT_EQ(results[0].reason, cpu::ExitReason::kMonitorTerminated);
   expect_runs_identical(results[0], results[1]);
-  expect_runs_identical(results[0], results[2]);
-  expect_runs_identical(results[0], results[3]);
 }
 
 TEST(TranslationCache, TextRewriteDetectionIdenticalAcrossEngines) {
@@ -576,13 +561,10 @@ TEST(TranslationCache, TextRewriteDetectionIdenticalAcrossEngines) {
   // matches what the pipeline fetches), and the monitored detection — the
   // hash mismatch at block end — lands exactly like the interpreter's.
   const casm_::Image image = checked_sum_loop();
-  cpu::RunResult results[4];
-  const cpu::CpuConfig configs[4] = {
-      engine_config(cpu::Engine::kSwitch, true),
-      engine_config(cpu::Engine::kThreaded, true),
-      engine_config(cpu::Engine::kThreaded, true, /*chain=*/false),
-      engine_config(cpu::Engine::kThreaded, false)};
-  for (int i = 0; i < 4; ++i) {
+  cpu::RunResult results[2];
+  const cpu::CpuConfig configs[2] = {engine_config(cpu::Engine::kSwitch),
+                                     engine_config(cpu::Engine::kThreaded)};
+  for (int i = 0; i < 2; ++i) {
     cpu::Cpu cpu(configs[i], image);
     const std::uint32_t addr = casm_::kTextBase + 8;
     cpu.memory().write32(addr, cpu.memory().read32(addr) ^ (1U << 11));
@@ -590,8 +572,6 @@ TEST(TranslationCache, TextRewriteDetectionIdenticalAcrossEngines) {
   }
   EXPECT_EQ(results[0].reason, cpu::ExitReason::kMonitorTerminated);
   expect_runs_identical(results[0], results[1]);
-  expect_runs_identical(results[0], results[2]);
-  expect_runs_identical(results[0], results[3]);
 }
 
 TEST(TranslationCache, ICacheResidentFlipMidRunIdenticalAcrossEngines) {
@@ -601,13 +581,10 @@ TEST(TranslationCache, ICacheResidentFlipMidRunIdenticalAcrossEngines) {
   // poisoned line's words diverge from the translation tags at fetch time
   // and must be handled exactly like the interpreter handles them.
   const casm_::Image image = checked_sum_loop();
-  cpu::RunResult results[4];
-  cpu::CpuConfig configs[4] = {
-      engine_config(cpu::Engine::kSwitch, true),
-      engine_config(cpu::Engine::kThreaded, true),
-      engine_config(cpu::Engine::kThreaded, true, /*chain=*/false),
-      engine_config(cpu::Engine::kThreaded, false)};
-  for (int i = 0; i < 4; ++i) {
+  cpu::RunResult results[2];
+  cpu::CpuConfig configs[2] = {engine_config(cpu::Engine::kSwitch),
+                               engine_config(cpu::Engine::kThreaded)};
+  for (int i = 0; i < 2; ++i) {
     configs[i].icache.enabled = true;
     cpu::Cpu cpu(configs[i], image);
     for (int s = 0; s < 8; ++s) cpu.step();
@@ -620,8 +597,6 @@ TEST(TranslationCache, ICacheResidentFlipMidRunIdenticalAcrossEngines) {
   }
   EXPECT_NE(results[0].reason, cpu::ExitReason::kExit);  // the flips bite
   expect_runs_identical(results[0], results[1]);
-  expect_runs_identical(results[0], results[2]);
-  expect_runs_identical(results[0], results[3]);
 }
 
 TEST(TranslationCache, PostIdFaultIdenticalAcrossEngines) {
@@ -629,13 +604,10 @@ TEST(TranslationCache, PostIdFaultIdenticalAcrossEngines) {
   // tag holds the clean word, so the fused handler must miss, fall back, and
   // reproduce the (undetected) wrong-output outcome of §3.2 bit for bit.
   const casm_::Image image = checked_sum_loop();
-  cpu::RunResult results[4];
-  const cpu::CpuConfig configs[4] = {
-      engine_config(cpu::Engine::kSwitch, true),
-      engine_config(cpu::Engine::kThreaded, true),
-      engine_config(cpu::Engine::kThreaded, true, /*chain=*/false),
-      engine_config(cpu::Engine::kThreaded, false)};
-  for (int i = 0; i < 4; ++i) {
+  cpu::RunResult results[2];
+  const cpu::CpuConfig configs[2] = {engine_config(cpu::Engine::kSwitch),
+                                     engine_config(cpu::Engine::kThreaded)};
+  for (int i = 0; i < 2; ++i) {
     cpu::Cpu cpu(configs[i], image);
     cpu.set_post_id_fault({4, 1U << 16});
     results[i] = cpu.run();
@@ -645,33 +617,24 @@ TEST(TranslationCache, PostIdFaultIdenticalAcrossEngines) {
   }
   EXPECT_EQ(results[0].iht.mismatches, 0U);  // escaped the monitor (§3.2)
   expect_runs_identical(results[0], results[1]);
-  expect_runs_identical(results[0], results[2]);
-  expect_runs_identical(results[0], results[3]);
 }
 
 // --- Superblock chaining ----------------------------------------------------
 
-TEST(TranslationCache, ChainOnOffByteIdenticalAndLinksFollowed) {
-  // `--chain` is a pure execution strategy: with it off, every block exit
-  // returns to the dispatch loop and pays a cache lookup; with it on, the
-  // loop's bnez links to its own block once and every later iteration flows
-  // straight through. Both must be byte-identical with the interpreter.
+TEST(TranslationCache, ChainedRunMatchesInterpreterAndFollowsLinks) {
+  // The loop's bnez links to its own block once and every later iteration
+  // flows straight through, skipping the dispatch loop and its cache lookup;
+  // the run must stay byte-identical with the interpreter.
   const casm_::Image image = checked_sum_loop();
-  cpu::Cpu interp(engine_config(cpu::Engine::kSwitch, true), image);
-  cpu::Cpu chained(engine_config(cpu::Engine::kThreaded, true), image);
-  cpu::Cpu unchained(engine_config(cpu::Engine::kThreaded, true, /*chain=*/false), image);
-  const cpu::RunResult a = interp.run();
-  const cpu::RunResult b = chained.run();
-  const cpu::RunResult c = unchained.run();
-  expect_runs_identical(a, b);
-  expect_runs_identical(a, c);
+  cpu::Cpu interp(engine_config(cpu::Engine::kSwitch), image);
+  cpu::Cpu chained(engine_config(cpu::Engine::kThreaded), image);
+  expect_runs_identical(interp.run(), chained.run());
   EXPECT_GT(chained.chain_follows(), 0U);
-  EXPECT_EQ(unchained.chain_follows(), 0U);
-  EXPECT_EQ(unchained.chain_breaks(), 0U);
-  // The follows replace dispatch-loop lookups one for one.
-  EXPECT_GT(unchained.translation_cache()->stats().hits,
-            chained.translation_cache()->stats().hits);
-  EXPECT_EQ(chained.translation_cache()->stats().chain_severed, 0U);
+  // After the link is installed, iterations follow it instead of paying a
+  // dispatch-loop cache lookup.
+  const TranslationCache::Stats& stats = chained.translation_cache()->stats();
+  EXPECT_GT(chained.chain_follows(), stats.hits);
+  EXPECT_EQ(stats.chain_severed, 0U);
 }
 
 TEST(TranslationCache, InvalidateSeversInboundAndOutboundLinks) {
@@ -687,7 +650,7 @@ TEST(TranslationCache, InvalidateSeversInboundAndOutboundLinks) {
       isa::encode_r(isa::Mnemonic::kAddu, 9, 9, 8),  // forced-generic text tail
   };
   const auto peek = [&](std::uint32_t a) { return words[(a - base) / 4]; };
-  TranslationCache tc(base, base + 12, /*enabled=*/true);
+  TranslationCache tc(base, base + 12);
   TranslatedBlock* branch = tc.translate(base, spec, fused, peek);
   TranslatedBlock* target = tc.translate(base + 8, spec, fused, peek);
   TranslatedBlock* skipped = tc.translate(base + 4, spec, fused, peek);
@@ -726,7 +689,7 @@ TEST(TranslationCache, SelfLoopChainSeversCleanly) {
   const std::uint32_t base = 0x00400000;
   const std::uint32_t word =
       isa::encode_i(isa::Mnemonic::kBeq, 0, 0, 0xFFFF);  // beq $0, $0, .
-  TranslationCache tc(base, base + 8, /*enabled=*/true);
+  TranslationCache tc(base, base + 8);
   TranslatedBlock* loop =
       tc.translate(base, spec, fused, [&](std::uint32_t) { return word; });
   ASSERT_TRUE(loop->has_taken);
@@ -737,6 +700,143 @@ TEST(TranslationCache, SelfLoopChainSeversCleanly) {
   tc.invalidate(base);
   EXPECT_EQ(tc.lookup(base), nullptr);
   EXPECT_EQ(tc.stats().chain_severed, 1U);
+}
+
+// --- Batched / unbatched handler boundary ------------------------------------
+//
+// The threaded engine runs a block's straight-line prefix through batched
+// handlers only when a per-block precheck proves nothing can interrupt it,
+// and otherwise through the unbatched ones. These tests drive a kernel that
+// uses every fused kind across every point where that choice flips.
+
+// Every fused kind executes: ALU register/immediate forms, lui, loads and
+// stores (with a load-use stall), mult/div with HI/LO reads and writes,
+// one- and two-register branches, jal into a leaf that returns through jr, a
+// print syscall, a straight-line run longer than kMaxBlockEntries (its
+// capped tail runs as kGeneric), and a closing break (kIllegal), which ends
+// the run with an illegal-instruction trap.
+casm_::Image every_kind_kernel() {
+  casm_::Asm a;
+  a.data_word(0);
+  a.func("main");
+  a.li(isa::kS0, 3);
+  a.lui(isa::kS1, 0x1234);
+  casm_::Label loop = a.bound_label();
+  a.addu(isa::kT0, isa::kS0, isa::kS1);
+  a.sw(isa::kT0, 0, isa::kGp);
+  a.lw(isa::kT1, 0, isa::kGp);
+  a.addu(isa::kT2, isa::kT1, isa::kT1);  // load-use
+  a.mult(isa::kT1, isa::kS0);
+  a.mflo(isa::kT3);  // waits out the mult latency
+  a.mthi(isa::kT3);
+  a.div(isa::kT3, isa::kS0);
+  a.mfhi(isa::kT4);
+  a.jal("leaf");
+  a.sys_print_int(isa::kT4);
+  a.addiu(isa::kS0, isa::kS0, -1);
+  a.bgtz(isa::kS0, loop);
+  for (int i = 0; i < 70; ++i) a.addiu(isa::kT5, isa::kT5, i + 1);
+  casm_::Label end = a.label();
+  a.beq(isa::kT5, isa::kZero, end);  // not taken: falls through
+  a.bind(end);
+  a.break_();
+  a.func("leaf");
+  a.addiu(isa::kV1, isa::kV1, 1);
+  a.jr(isa::kRa);
+  return a.finalize();
+}
+
+cpu::CpuConfig boundary_config(cpu::Engine engine) {
+  cpu::CpuConfig config = engine_config(engine);
+  config.icache.enabled = true;  // I-cache refill stalls land inside batches
+  return config;
+}
+
+TEST(ThreadedBoundary, KernelTranslatesToEveryFusedKind) {
+  const casm_::Image image = every_kind_kernel();
+  IsaUopSpec spec = build_isa_uops();
+  embed_monitoring(&spec);
+  const FusedTable fused = build_fused_table(spec);
+  TranslationCache tc(image.text_base, image.text_end());
+  bool seen[kNumFusedKinds] = {};
+  for (std::uint32_t addr = image.text_base; addr < image.text_end(); addr += 4) {
+    const TranslatedBlock* block = tc.translate(
+        addr, spec, fused, [&](std::uint32_t a) { return image.word_at(a); });
+    for (const TransEntry& e : block->entries) seen[static_cast<unsigned>(e.kind)] = true;
+  }
+  for (unsigned k = 0; k < kNumFusedKinds; ++k) EXPECT_TRUE(seen[k]) << "fused kind " << k;
+
+  // The clean run reaches the closing break, so every word above executed.
+  cpu::Cpu cpu(boundary_config(cpu::Engine::kSwitch), image);
+  const cpu::RunResult r = cpu.run();
+  EXPECT_EQ(r.reason, cpu::ExitReason::kIllegalInstruction);
+  EXPECT_FALSE(r.console.empty());
+}
+
+TEST(ThreadedBoundary, WatchdogAndPostIdCutsAtEveryInstructionMatchInterpreter) {
+  // Cutting the run with the watchdog, or landing a post-ID fault, at every
+  // dynamic instruction moves the cut across every block boundary and every
+  // point inside a batched prefix, so blocks flip between the batched and
+  // unbatched handlers around it.
+  const casm_::Image image = every_kind_kernel();
+  cpu::Cpu full(boundary_config(cpu::Engine::kSwitch), image);
+  const std::uint64_t total = full.run().instructions;
+  ASSERT_GT(total, kMaxBlockEntries);
+  for (std::uint64_t cut = 0; cut <= total + 1; ++cut) {
+    SCOPED_TRACE("cut " + std::to_string(cut));
+    cpu::RunResult results[2];
+    for (const cpu::Engine engine : {cpu::Engine::kSwitch, cpu::Engine::kThreaded}) {
+      cpu::CpuConfig config = boundary_config(engine);
+      config.max_instructions = cut;
+      cpu::Cpu cpu(config, image);
+      results[engine == cpu::Engine::kSwitch ? 0 : 1] = cpu.run();
+    }
+    EXPECT_EQ(results[0], results[1]);
+    if (cut <= total) {
+      EXPECT_EQ(results[0].reason, cpu::ExitReason::kWatchdog);
+    }
+  }
+  for (std::uint64_t index = 0; index < total; ++index) {
+    SCOPED_TRACE("post-ID fault at " + std::to_string(index));
+    cpu::RunResult results[2];
+    for (const cpu::Engine engine : {cpu::Engine::kSwitch, cpu::Engine::kThreaded}) {
+      cpu::CpuConfig config = boundary_config(engine);
+      config.max_instructions = 4 * total;  // a corrupted loop cannot run long
+      cpu::Cpu cpu(config, image);
+      cpu.set_post_id_fault({index, 1U << 11});
+      results[engine == cpu::Engine::kSwitch ? 0 : 1] = cpu.run();
+    }
+    EXPECT_EQ(results[0], results[1]);
+  }
+}
+
+TEST(ThreadedBoundary, RecoveryRunsMatchInterpreter) {
+  // Recovery mode forces the unbatched handler for every entry. The closing
+  // break is a persistent trap: its block is retried until the budget runs
+  // out. A transient bus flip earlier on is detected, rolled back and
+  // re-executed clean, so the tampered run costs exactly one more recovery
+  // and prints the same output.
+  const casm_::Image image = every_kind_kernel();
+  cpu::RunResult clean[2];
+  cpu::RunResult tampered[2];
+  for (const cpu::Engine engine : {cpu::Engine::kSwitch, cpu::Engine::kThreaded}) {
+    const int i = engine == cpu::Engine::kSwitch ? 0 : 1;
+    cpu::CpuConfig config = boundary_config(engine);
+    config.icache.enabled = false;  // every fetch is a bus transfer
+    config.recovery.enabled = true;
+    cpu::Cpu plain(config, image);
+    clean[i] = plain.run();
+    cpu::Cpu flipped(config, image);
+    OneShotTamper tamper(/*trigger=*/20, /*mask=*/1U << 11);
+    flipped.fetch_path().set_bus_tamper(&tamper);
+    tampered[i] = flipped.run();
+  }
+  EXPECT_EQ(clean[0], clean[1]);
+  EXPECT_EQ(tampered[0], tampered[1]);
+  EXPECT_EQ(clean[0].reason, cpu::ExitReason::kIllegalInstruction);
+  EXPECT_EQ(tampered[0].reason, cpu::ExitReason::kIllegalInstruction);
+  EXPECT_EQ(tampered[0].recoveries, clean[0].recoveries + 1);
+  EXPECT_EQ(tampered[0].console, clean[0].console);
 }
 
 }  // namespace
