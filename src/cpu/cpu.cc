@@ -1,5 +1,6 @@
 #include "cpu/cpu.h"
 
+#include "cpu/snapshot.h"
 #include "obs/metrics.h"
 #include "support/bitops.h"
 #include "support/error.h"
@@ -84,9 +85,9 @@ Cpu::Cpu(const CpuConfig& config, const casm_::Image& image)
 Cpu::Cpu(const CpuConfig& config, const casm_::Image& image, const LoadedImage* loaded)
     : config_(config), memory_(), fetch_(&memory_, config.icache) {
   if (loaded != nullptr) {
-    // Preloaded path: share the spec, read memory through the frozen page
-    // base (copy-on-write), and copy the already-recovered FHT — no loader,
-    // no hash recomputation. Bit-identical to the loading path below.
+    // Preloaded path: share the spec, its fused table and the FHT, and read
+    // memory through the frozen page base (copy-on-write) — no loader, no
+    // hash recomputation. Bit-identical to the loading path below.
     attach_loaded(*loaded);
   } else {
     auto spec = std::make_shared<uop::IsaUopSpec>(uop::build_isa_uops());
@@ -108,8 +109,13 @@ Cpu::Cpu(const CpuConfig& config, const casm_::Image& image, const LoadedImage* 
   text_end_ = image.text_end();
   fast_fetch_ = is_canonical_fetch(spec_->fetch, spec_->monitoring_embedded);
   if (config_.engine == Engine::kThreaded && fast_fetch_) {
-    fused_ = uop::build_fused_table(*spec_);
-    tcache_ = std::make_unique<uop::TranslationCache>(text_base_, text_end_);
+    if (fused_ == nullptr) {
+      fused_ = std::make_shared<const uop::FusedTable>(uop::build_fused_table(*spec_));
+    }
+    // A campaign trial starts warm: its cache is an overlay on the shared
+    // block base (null for the loading constructor and a bare preload).
+    tcache_ = std::make_unique<uop::TranslationCache>(
+        text_base_, text_end_, loaded != nullptr ? loaded->blocks : nullptr);
     threaded_ = true;
   }
 }
@@ -752,7 +758,7 @@ RunResult Cpu::run_threaded() {
       // I-cache fills, no hash folding. All architectural fetch effects
       // happen per entry inside fused_step, through the real fetch path.
       block = tcache_->translate(
-          addr, *spec_, fused_, [this](std::uint32_t a) { return memory_.read32(a); });
+          addr, *spec_, *fused_, [this](std::uint32_t a) { return memory_.read32(a); });
     }
     if (link_from != nullptr) {
       // chain() re-verifies that this block really is the recorded edge
@@ -823,12 +829,15 @@ RunResult Cpu::run_threaded() {
     if (flow == FusedFlow::kTaken || flow == FusedFlow::kFall) {
       const bool taken = flow == FusedFlow::kTaken;
       uop::TranslatedBlock* next = taken ? block->taken : block->fall;
-      if (next != nullptr) {
-        // Chain follow: flow straight into the successor. The watchdog is
-        // covered by the per-block precheck plus the unbatched terminator
-        // handlers, and the link target was verified to be a text address
-        // when the edge was resolved — the outer loop's checks are
-        // subsumed, not skipped.
+      if (next != nullptr && (!next->shared || tcache_->live(next))) {
+        // Chain follow: flow straight into the successor, provided it is
+        // live in this run's view. A link into an owned block is live by
+        // construction (owned blocks sever eagerly); a base block dead in
+        // this view keeps its inbound links but is never entered through
+        // them. The watchdog is covered by the per-block
+        // precheck plus the unbatched terminator handlers, and the link
+        // target was verified to be a text address when the edge was
+        // resolved — the outer loop's checks are subsumed, not skipped.
         ++chain_follows_;
         block = next;
         goto enter_block;

@@ -155,8 +155,9 @@ struct PostIdFault {
 
 // Shared immutable artifacts of loading one image under one configuration
 // (cpu/snapshot.h): the post-loader memory as a copy-on-write base, the
-// monitoring-embedded microoperation spec, and the recovered FHT. Built once
-// per campaign, shared read-only by every trial's Cpu.
+// monitoring-embedded microoperation spec and its fused table, the recovered
+// FHT, and a campaign's translated-block base. Built once per campaign,
+// shared read-only by every trial's Cpu.
 struct LoadedImage;
 
 // Complete determinism surface of a running Cpu at an instruction boundary
@@ -170,10 +171,12 @@ class Cpu final : private uop::Datapath {
   Cpu(const CpuConfig& config, const casm_::Image& image);
 
   // As above, but skips the loader: memory reads through `loaded`'s frozen
-  // page base (copy-on-write), the uop spec is shared, and the FHT is copied
-  // instead of recomputed. `loaded` must have been built by preload_image
-  // with a monitoring/cic configuration equivalent to `config`, and must
-  // outlive the Cpu. Behaviour is bit-identical to the loading constructor.
+  // page base (copy-on-write), and the uop spec, its fused table and the FHT
+  // are shared instead of rebuilt. A threaded-engine Cpu's translation cache
+  // overlays `loaded`'s block base when it has one. `loaded` must have been
+  // built by preload_image with a monitoring/cic configuration equivalent to
+  // `config`, and must outlive the Cpu. Behaviour is bit-identical to the
+  // loading constructor.
   Cpu(const CpuConfig& config, const casm_::Image& image, const LoadedImage* loaded);
   ~Cpu() override;
 
@@ -192,8 +195,9 @@ class Cpu final : private uop::Datapath {
   //
   // Capture/restore the complete determinism surface at an instruction
   // boundary. The predecode and translation caches are deliberately excluded:
-  // both are tamper-safe (tagged by the fetched word), so a cold cache
-  // rebuilds to bit-identical results. Restore requires a Cpu constructed
+  // both are tamper-safe (tagged by the fetched word), so whatever they hold
+  // — cold, warm from a shared block base, or left by another run — the
+  // results are bit-identical. Restore requires a Cpu constructed
   // from the same LoadedImage and configuration as the one that saved (the
   // memory delta is relative to the shared page base); recovery mode is not
   // supported (its block checkpoint is orthogonal in-run state).
@@ -257,8 +261,8 @@ class Cpu final : private uop::Datapath {
   void syscall() override;
   void illegal_instruction() override;
 
-  // Constructor tail for the LoadedImage path (cpu/snapshot.cc — the only
-  // translation unit that sees the LoadedImage definition).
+  // Constructor head for the LoadedImage path (cpu/snapshot.cc): shares the
+  // spec, fused table, page base and FHT.
   void attach_loaded(const LoadedImage& loaded);
 
   void terminate(ExitReason reason, std::uint32_t code);
@@ -369,12 +373,13 @@ class Cpu final : private uop::Datapath {
   // source of truth for machine behaviour.
   bool fast_fetch_ = false;
 
-  // Threaded engine state: the per-mnemonic fused classification, the block
-  // translation cache, and the start address of the block being executed
-  // (the invalidation key on a tag mismatch). The engine only activates when
-  // the IF program is canonical (fast_fetch_): a reshaped fetch program must
-  // run through the interpreter.
-  uop::FusedTable fused_{};
+  // Threaded engine state: the per-mnemonic fused classification (shared
+  // with the LoadedImage when there is one), the block translation cache,
+  // and the start address of the block being executed (the invalidation key
+  // on a tag mismatch). The engine only activates when the IF program is
+  // canonical (fast_fetch_): a reshaped fetch program must run through the
+  // interpreter.
+  std::shared_ptr<const uop::FusedTable> fused_;
   std::unique_ptr<uop::TranslationCache> tcache_;
   bool threaded_ = false;
   std::uint32_t cur_block_start_ = 0;

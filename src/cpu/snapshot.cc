@@ -9,13 +9,19 @@
 
 namespace cicmon::cpu {
 
+void build_spec(const CpuConfig& config, LoadedImage* loaded) {
+  auto spec = std::make_shared<uop::IsaUopSpec>(uop::build_isa_uops());
+  if (config.monitoring) uop::embed_monitoring(spec.get());
+  loaded->fused = std::make_shared<const uop::FusedTable>(uop::build_fused_table(*spec));
+  loaded->spec = std::move(spec);
+}
+
 LoadedImage preload_image(const CpuConfig& config, const casm_::Image& image) {
   LoadedImage out;
   out.entry = image.entry;
-  auto spec = std::make_shared<uop::IsaUopSpec>(uop::build_isa_uops());
+  build_spec(config, &out);
   mem::Memory memory;
   if (config.monitoring) {
-    uop::embed_monitoring(spec.get());
     const std::unique_ptr<hash::HashFunctionUnit> unit =
         hash::make_hash_unit(config.cic.hash_kind, config.cic.hash_key);
     os::LoadedProgram program = os::os_load(image, &memory, *unit);
@@ -24,9 +30,19 @@ LoadedImage preload_image(const CpuConfig& config, const casm_::Image& image) {
   } else {
     memory.load_image(image);
   }
-  out.spec = std::move(spec);
   out.pages = memory.freeze();
   return out;
+}
+
+void build_block_base(const casm_::Image& image, std::span<const std::uint32_t> seeds,
+                      LoadedImage* loaded) {
+  support::check(loaded->pages != nullptr && loaded->spec != nullptr && loaded->fused != nullptr,
+                 "build_block_base: LoadedImage is not preloaded");
+  mem::Memory text;
+  text.set_base(loaded->pages);
+  loaded->blocks = std::make_shared<const uop::BlockBase>(
+      image.text_base, image.text_end(), seeds, *loaded->spec, *loaded->fused,
+      [&text](std::uint32_t a) { return text.read32(a); });
 }
 
 void Cpu::attach_loaded(const LoadedImage& loaded) {
@@ -35,10 +51,14 @@ void Cpu::attach_loaded(const LoadedImage& loaded) {
   support::check(loaded.spec->monitoring_embedded == config_.monitoring,
                  "Cpu: LoadedImage monitoring does not match the configuration");
   spec_ = loaded.spec;
+  fused_ = loaded.fused;
   memory_.set_base(loaded.pages);
   if (config_.monitoring) {
     cic_.emplace(config_.cic);
-    os_.emplace(config_.os, loaded.fht);
+    // Borrowed, not owned: the empty owner leaves the table's lifetime to
+    // the LoadedImage, which outlives this Cpu.
+    os_.emplace(config_.os, std::shared_ptr<const cfg::FullHashTable>(
+                                std::shared_ptr<const void>(), &loaded.fht));
     special_[static_cast<std::size_t>(uop::SpecialReg::kRhash)] = cic_->rhash_init();
   }
 }

@@ -6,9 +6,11 @@
 //
 //  * LoadedImage — everything loading produces, computed once and shared
 //    read-only by every trial Cpu: the post-loader memory frozen into an
-//    immutable copy-on-write page base, the (monitoring-embedded) uop spec,
-//    and the recovered FHT. A trial Cpu built from it skips the loader and
-//    the loader's whole-text hash computation.
+//    immutable copy-on-write page base, the (monitoring-embedded) uop spec
+//    and its fused table, the recovered FHT, and — for a campaign — the
+//    translated-block base. A trial Cpu built from it skips the loader, the
+//    loader's whole-text hash computation, the fused classification, and the
+//    translation of every block the base already holds.
 //
 //  * Snapshot — the complete determinism surface of a running Cpu at an
 //    instruction boundary: architectural registers and special latches, the
@@ -21,21 +23,29 @@
 //
 // Deliberately NOT in a snapshot: the predecode cache and the block
 // translation cache. Both are tamper-safe (every entry is tagged by the raw
-// fetched word, so any divergence misses and re-decodes), which makes a cold
-// cache semantically identical to a warm one — the existing engine A/B tests
-// enforce exactly that property. Recovery mode's block checkpoint is also
-// excluded; snapshots refuse to operate with recovery enabled.
+// fetched word, so any divergence misses and re-decodes), which makes any
+// cache contents semantically identical to any other — the engine A/B tests
+// enforce exactly that property. A campaign's trials therefore start warm
+// instead: each trial's translation cache is an overlay on the LoadedImage's
+// shared block base, seeded at the entry point and at every golden snapshot's
+// resume address, so a restored trial neither retranslates what the golden
+// run already covered nor carries translation state in its snapshot.
+// Recovery mode's block checkpoint is also excluded; snapshots refuse to
+// operate with recovery enabled.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "casm/image.h"
 #include "cfg/fht.h"
 #include "cpu/cpu.h"
 #include "mem/fetch_path.h"
 #include "mem/memory.h"
+#include "uop/threaded.h"
+#include "uop/translate_cache.h"
 #include "uop/uop.h"
 
 namespace cicmon::cpu {
@@ -43,15 +53,32 @@ namespace cicmon::cpu {
 struct LoadedImage {
   std::shared_ptr<const mem::Memory::PageMap> pages;  // frozen post-loader memory
   std::shared_ptr<const uop::IsaUopSpec> spec;        // monitoring-embedded when configured
-  cfg::FullHashTable fht;                             // empty when monitoring is off
+  std::shared_ptr<const uop::FusedTable> fused;       // spec's fused classification
+  // Empty when monitoring is off. Trial monitors borrow it (the LoadedImage
+  // outlives every Cpu built from it), never copy it.
+  cfg::FullHashTable fht;
   bool fht_was_attached = false;
   std::uint32_t entry = 0;
+  // Translated-block base over the frozen text (build_block_base); null
+  // until a campaign builds it, and then attached by threaded-engine Cpus.
+  std::shared_ptr<const uop::BlockBase> blocks;
 };
 
 // Runs the loader once for `config`/`image`: builds the uop spec (embedding
-// the §5 monitoring pass when config.monitoring), loads text + data, recovers
-// or computes the FHT, and freezes the memory into a shared page base.
+// the §5 monitoring pass when config.monitoring) and its fused table, loads
+// text + data, recovers or computes the FHT, and freezes the memory into a
+// shared page base.
 LoadedImage preload_image(const CpuConfig& config, const casm_::Image& image);
+
+// Builds `loaded`'s uop spec and fused table for `config` — pure functions of
+// the configuration, so a rebuild is bit-identical to the original.
+void build_spec(const CpuConfig& config, LoadedImage* loaded);
+
+// Translates `image`'s blocks reachable from `seeds` (uop::BlockBase) out of
+// `loaded`'s frozen pages into `loaded->blocks`. The seeds are text addresses
+// where execution enters; others are ignored.
+void build_block_base(const casm_::Image& image, std::span<const std::uint32_t> seeds,
+                      LoadedImage* loaded);
 
 struct Snapshot {
   std::uint64_t instructions = 0;   // == result.instructions, hoisted for search

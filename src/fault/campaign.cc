@@ -6,7 +6,6 @@
 #include "obs/metrics.h"
 #include "support/bitops.h"
 #include "support/error.h"
-#include "uop/monitor_pass.h"
 #include "uop/uop.h"
 
 namespace cicmon::fault {
@@ -115,6 +114,7 @@ CampaignRunner::CampaignRunner(const casm_::Image& image, const cpu::CpuConfig& 
   golden_console_ = result.console;
   golden_exit_code_ = result.exit_code;
   golden_result_ = std::move(result);
+  build_block_base();
 }
 
 CampaignRunner::CampaignRunner(const casm_::Image& image, const cpu::CpuConfig& config,
@@ -122,12 +122,10 @@ CampaignRunner::CampaignRunner(const casm_::Image& image, const cpu::CpuConfig& 
     : image_(image), config_(config), checkpoints_(checkpoints) {
   if (config_.recovery.enabled) checkpoints_.enabled = false;
 
-  // Rebuild the LoadedImage from the shipped parts. The uop spec is the one
-  // piece not shipped: build_isa_uops + embed_monitoring are pure functions
-  // of the configuration, so rebuilding is bit-identical to the original.
-  auto spec = std::make_shared<uop::IsaUopSpec>(uop::build_isa_uops());
-  if (config_.monitoring) uop::embed_monitoring(spec.get());
-  loaded_.spec = std::move(spec);
+  // Rebuild the LoadedImage from the shipped parts. The uop spec and its
+  // fused table are not shipped: they are pure functions of the
+  // configuration, so rebuilding is bit-identical to the original.
+  cpu::build_spec(config_, &loaded_);
   loaded_.pages = std::make_shared<mem::Memory::PageMap>(state.image_pages);
   loaded_.fht = cfg::FullHashTable::deserialize(state.fht_blob);
   loaded_.fht_was_attached = state.fht_was_attached;
@@ -145,6 +143,22 @@ CampaignRunner::CampaignRunner(const casm_::Image& image, const cpu::CpuConfig& 
   golden_console_ = state.result.console;
   golden_exit_code_ = state.result.exit_code;
   golden_result_ = state.result;
+  build_block_base();
+}
+
+void CampaignRunner::build_block_base() {
+  // Threaded-engine trials start warm: every block reachable from the entry
+  // point and from each snapshot's resume address (a restored trial re-enters
+  // mid-block there) is translated once, here, from the frozen text. Derived
+  // locally on every process — never shipped with the golden state.
+  if (config_.engine != cpu::Engine::kThreaded) return;
+  std::vector<std::uint32_t> seeds = {loaded_.entry};
+  if (golden_) {
+    for (const cpu::Snapshot& snapshot : golden_->snapshots()) {
+      seeds.push_back(snapshot.special[static_cast<std::size_t>(uop::SpecialReg::kCpc)]);
+    }
+  }
+  cpu::build_block_base(image_, seeds, &loaded_);
 }
 
 GoldenState CampaignRunner::export_golden() const {

@@ -108,7 +108,9 @@ class CampaignRunner {
   GoldenState export_golden() const;
 
   // Runs one trial with an explicit fault. Thread-safe: trials share only
-  // the golden-run state, read-only; each builds its own CPU.
+  // the golden-run state and the LoadedImage — page base, spec, fused table,
+  // FHT and translated-block base — read-only; each builds its own CPU, whose
+  // copy-on-write memory and translation overlay hold everything it writes.
   TrialResult run_trial(const FaultSpec& spec) const;
 
   // The campaign as a sweep-engine grid: one cell per trial, u64 payload =
@@ -148,6 +150,10 @@ class CampaignRunner {
   // otherwise a second recording built lazily on the first such trial (most
   // campaigns attack one site and never pay for the other recording).
   const CheckpointedGolden& icache_golden() const;
+
+  // Builds loaded_.blocks, the translated-block base every threaded trial's
+  // cache overlays (both constructors, after the golden state is in place).
+  void build_block_base();
 
   casm_::Image image_;
   cpu::CpuConfig config_;

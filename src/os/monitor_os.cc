@@ -24,8 +24,11 @@ std::string_view termination_cause_name(TerminationCause cause) {
   return "?";
 }
 
-OsMonitor::OsMonitor(const OsConfig& config, cfg::FullHashTable fht)
+OsMonitor::OsMonitor(const OsConfig& config, std::shared_ptr<const cfg::FullHashTable> fht)
     : config_(config), fht_(std::move(fht)) {}
+
+OsMonitor::OsMonitor(const OsConfig& config, cfg::FullHashTable fht)
+    : OsMonitor(config, std::make_shared<const cfg::FullHashTable>(std::move(fht))) {}
 
 std::uint64_t OsMonitor::charge(std::uint64_t cycles) {
   stats_.cycles_charged += cycles;
@@ -38,9 +41,9 @@ ExceptionOutcome OsMonitor::handle_hash_miss(const cic::LookupKey& key, cic::Iht
   // FHT search. The table is sorted, so the software handler's probe count is
   // logarithmic; a linear-scan handler can be modelled by raising
   // fht_probe_cycles accordingly.
-  const std::size_t index = fht_.find(key.start, key.end);
+  const std::size_t index = fht_->find(key.start, key.end);
   const std::uint64_t probes =
-      1 + static_cast<std::uint64_t>(fht_.empty() ? 0 : std::bit_width(fht_.size()));
+      1 + static_cast<std::uint64_t>(fht_->empty() ? 0 : std::bit_width(fht_->size()));
   stats_.fht_probes += probes;
   const std::uint64_t cost =
       charge(config_.exception_cycles + probes * config_.fht_probe_cycles);
@@ -52,7 +55,7 @@ ExceptionOutcome OsMonitor::handle_hash_miss(const cic::LookupKey& key, cic::Iht
     out.cause = TerminationCause::kNotInFht;
     return out;
   }
-  if (fht_.record(index).hash != key.hash) {
+  if (fht_->record(index).hash != key.hash) {
     out.terminate = true;
     out.cause = TerminationCause::kFhtHashMismatch;
     return out;
@@ -73,7 +76,7 @@ ExceptionOutcome OsMonitor::handle_hash_mismatch(const cic::LookupKey&) {
 
 void OsMonitor::refill(std::size_t missed_index, cic::Iht* iht) {
   ++stats_.refills;
-  const auto records = fht_.records();
+  const auto records = fht_->records();
 
   if (config_.refill_mode == RefillMode::kSingleEntry) {
     // Classic cache behaviour: Iht::fill evicts one victim by itself.

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string_view>
 
 #include "cfg/fht.h"
@@ -86,6 +87,10 @@ struct OsMonitorStats {
 
 class OsMonitor {
  public:
+  // The FHT is immutable after load, so every monitor of one program can
+  // share one table (fault-campaign trials do); the second form wraps a
+  // table of its own.
+  OsMonitor(const OsConfig& config, std::shared_ptr<const cfg::FullHashTable> fht);
   OsMonitor(const OsConfig& config, cfg::FullHashTable fht);
 
   // Handles exception0. On a benign capacity miss, refills `iht` and returns
@@ -95,7 +100,7 @@ class OsMonitor {
   // Handles exception1 (always terminates).
   ExceptionOutcome handle_hash_mismatch(const cic::LookupKey& key);
 
-  const cfg::FullHashTable& fht() const { return fht_; }
+  const cfg::FullHashTable& fht() const { return *fht_; }
   const OsMonitorStats& stats() const { return stats_; }
   const OsConfig& config() const { return config_; }
 
@@ -108,7 +113,7 @@ class OsMonitor {
   void refill(std::size_t missed_index, cic::Iht* iht);
 
   OsConfig config_;
-  cfg::FullHashTable fht_;
+  std::shared_ptr<const cfg::FullHashTable> fht_;
   OsMonitorStats stats_;
 };
 

@@ -1,5 +1,7 @@
 #include "uop/translate_cache.h"
 
+#include "support/error.h"
+
 namespace cicmon::uop {
 namespace {
 
@@ -66,9 +68,9 @@ TransEntry make_entry(std::uint32_t addr, std::uint32_t word, const IsaUopSpec& 
   return e;
 }
 
-void TranslationCache::resolve_edges(TranslatedBlock* block) const {
-  const auto in_text = [this](std::uint32_t t) {
-    return t >= text_base_ && t < text_end_ && (t & 3U) == 0;
+void resolve_edges(TranslatedBlock* block, std::uint32_t text_base, std::uint32_t text_end) {
+  const auto in_text = [text_base, text_end](std::uint32_t t) {
+    return t >= text_base && t < text_end && (t & 3U) == 0;
   };
   const TransEntry& last = block->entries.back();
   switch (last.kind) {
@@ -100,24 +102,63 @@ void TranslationCache::resolve_edges(TranslatedBlock* block) const {
   }
 }
 
-void TranslationCache::chain(TranslatedBlock* from, bool taken_edge, TranslatedBlock* to) {
-  if (taken_edge) {
-    if (!from->has_taken || from->taken != nullptr || to->start != from->taken_target) return;
-    from->taken = to;
-  } else {
-    if (!from->has_fall || from->fall != nullptr || to->start != from->fall_target) return;
-    from->fall = to;
+void BlockBase::link_blocks() {
+  for (const std::unique_ptr<TranslatedBlock>& block : blocks_) {
+    if (block->has_taken) block->taken = slots_[index(block->taken_target)];
+    if (block->has_fall) block->fall = slots_[index(block->fall_target)];
   }
-  to->preds.emplace_back(from, taken_edge);
+}
+
+TranslationCache::TranslationCache(std::uint32_t text_base, std::uint32_t text_end,
+                                   std::shared_ptr<const BlockBase> base)
+    : text_base_(text_base),
+      text_end_(text_end),
+      base_(std::move(base)),
+      owned_((text_end - text_base) / 4) {
+  if (base_ != nullptr) {
+    if (base_->text_base() != text_base || base_->text_end() != text_end) {
+      throw support::CicError("TranslationCache: block base covers a different text range");
+    }
+    view_ = base_->slots_;
+  } else {
+    view_.resize(owned_.size());
+  }
+}
+
+void TranslationCache::chain(TranslatedBlock* from, bool taken_edge, TranslatedBlock* to) {
+  if (from->shared) return;
+  TranslatedBlock*& link = taken_edge ? from->taken : from->fall;
+  const bool has_edge = taken_edge ? from->has_taken : from->has_fall;
+  const std::uint32_t target = taken_edge ? from->taken_target : from->fall_target;
+  if (!has_edge || to->start != target) return;
+  // A non-null link can only be stale when it points at a base block that
+  // died in this view (owned targets sever eagerly); that link holds no
+  // pred entry, so it is simply replaced.
+  if (link != nullptr && live(link)) return;
+  link = to;
+  if (!to->shared) to->preds.emplace_back(from, taken_edge);
+}
+
+void TranslationCache::invalidate(std::uint32_t block_start) {
+  ++stats_.invalidations;
+  const std::size_t i = index(block_start);
+  if (owned_[i] != nullptr) {
+    sever_links(owned_[i].get());
+    owned_[i].reset();
+  }
+  view_[i] = nullptr;
 }
 
 void TranslationCache::sever_links(TranslatedBlock* block) {
   // Outbound: the dying block must vanish from its successors' pred lists so
   // no successor ever holds a pointer to freed memory. (A self-loop shows up
-  // in its own preds and is handled here, before the inbound walk.)
+  // in its own preds and is handled here, before the inbound walk.) A base
+  // successor never recorded the link.
   const auto drop_outbound = [this, block](TranslatedBlock* succ, bool taken_edge) {
     if (succ == nullptr) return;
-    std::erase(succ->preds, std::pair<TranslatedBlock*, bool>{block, taken_edge});
+    if (!succ->shared) {
+      std::erase(succ->preds, std::pair<TranslatedBlock*, bool>{block, taken_edge});
+    }
     ++stats_.chain_severed;
   };
   drop_outbound(block->taken, true);
@@ -126,7 +167,7 @@ void TranslationCache::sever_links(TranslatedBlock* block) {
   block->fall = nullptr;
   // Inbound: every predecessor whose edge points here loses the link — the
   // next execution of that edge goes back through lookup/translate and
-  // re-verifies before re-chaining.
+  // re-verifies before re-chaining. Predecessors are always owned blocks.
   for (const auto& [pred, taken_edge] : block->preds) {
     if (taken_edge) {
       if (pred->taken == block) pred->taken = nullptr;

@@ -18,17 +18,32 @@
 // generic straight-line tails: fall-through) records those edge addresses at
 // translation time. Once both blocks exist in the cache, the engine links
 // them (`chain`) and later executions flow straight from the terminator into
-// the successor without a dispatch-loop round trip or a cache lookup. The
-// severing invariant that keeps this tamper-safe: a non-null link always
-// points at a live cached block whose start equals the verified edge target.
-// `invalidate` (and any slot replacement) severs every inbound and outbound
-// link of the dying block first — a stale chain pointer into retranslated
-// text would be a correctness bug, not a slow path. Indirect edges
-// (jump-register, syscall, illegal) always return to the dispatch loop.
+// the successor without a dispatch-loop round trip or a cache lookup.
+//
+// Shared base: a fault campaign translates its program once, from the frozen
+// post-loader text, into an immutable BlockBase whose blocks come pre-chained
+// to each other. Every trial's TranslationCache is an overlay on that base —
+// copy-on-write applied to translation: lookups see the trial's own blocks
+// first, then the base; a tag mismatch on a base block marks it dead in this
+// view only and retranslates it into the overlay; nothing a cache does ever
+// writes a base block (its links or its preds), so any number of trials on
+// any number of threads read one base.
+//
+// The severing invariant that keeps chaining tamper-safe, per view: a link is
+// followed only if its target is live in this cache's view. Links into the
+// cache's own blocks are live by construction: `invalidate` (and any slot
+// replacement) cuts every inbound and outbound link of the dying owned block
+// first, since a pointer into freed memory would be a correctness bug, not a
+// slow path. A base block dies in a view without being touched, so the links
+// into it (from the base or from the overlay) stay in place and the engine
+// checks `live` before following a link into a base block; `chain` replaces
+// a dead overlay link when the retranslated successor appears. Indirect
+// edges (jump-register, syscall, illegal) always return to the dispatch loop.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -71,18 +86,22 @@ struct TranslatedBlock {
   // run whose per-instruction retire/cycle contribution is statically known,
   // the basis of the engine's per-block batched accounting.
   std::uint32_t straight_len = 0;
+  // Lives in a BlockBase: read-only to every cache that sees it.
+  bool shared = false;
   // Statically resolved successor edges of the terminator. `has_*` marks an
   // edge whose target is a valid text address; `*_target` is that address.
-  // `taken`/`fall` are the live chain links — null until `chain` verifies
-  // and installs them, nulled again whenever either endpoint invalidates.
+  // `taken`/`fall` are the chain links — null until `chain` verifies and
+  // installs them (or, in a base, until the base links its own blocks), and
+  // followed only while their target is live in the executing cache's view.
   bool has_taken = false;
   bool has_fall = false;
   std::uint32_t taken_target = 0;
   std::uint32_t fall_target = 0;
   TranslatedBlock* taken = nullptr;
   TranslatedBlock* fall = nullptr;
-  // Inbound links: every (pred, is-taken-edge) whose `taken`/`fall` points
-  // here, so invalidation can sever them in O(inbound degree).
+  // Inbound links from cache-owned blocks: every (pred, is-taken-edge) whose
+  // `taken`/`fall` points here, so invalidation can sever them in O(inbound
+  // degree). Always empty on a base block, which nothing may write.
   std::vector<std::pair<TranslatedBlock*, bool>> preds;
 };
 
@@ -91,85 +110,161 @@ struct TranslatedBlock {
 TransEntry make_entry(std::uint32_t addr, std::uint32_t word, const IsaUopSpec& spec,
                       const FusedTable& fused);
 
+// Computes the terminator's static successor edges (translate-time): only
+// targets inside [text_base, text_end) count as edges.
+void resolve_edges(TranslatedBlock* block, std::uint32_t text_base, std::uint32_t text_end);
+
+// Translates the block starting at the text address `addr`, reading words
+// through `peek` (which must be free of architectural side effects).
+template <typename PeekFn>
+TranslatedBlock translate_block(std::uint32_t addr, std::uint32_t text_base,
+                                std::uint32_t text_end, const IsaUopSpec& spec,
+                                const FusedTable& fused, PeekFn&& peek) {
+  TranslatedBlock block;
+  block.start = addr;
+  for (std::uint32_t a = addr;; a += 4) {
+    block.entries.push_back(make_entry(a, peek(a), spec, fused));
+    if (is_block_terminator(block.entries.back().kind)) break;
+    if (a + 4 >= text_end || block.entries.size() >= kMaxBlockEntries) {
+      // Force-terminate: the final entry runs through the interpreter,
+      // which retires it and hands control back to the block loop.
+      block.entries.back().kind = FusedKind::kGeneric;
+      break;
+    }
+  }
+  block.straight_len = static_cast<std::uint32_t>(block.entries.size() - 1);
+  resolve_edges(&block, text_base, text_end);
+  return block;
+}
+
+// The campaign-wide translated-block base: every block reachable from the
+// seeds, translated once from the frozen text and chained to each other,
+// then immutable. Reachable means closed over the static successor edges
+// plus the resume site after every linking jump (where its callee returns)
+// and every syscall (where the program continues).
+class BlockBase {
+ public:
+  template <typename PeekFn>
+  BlockBase(std::uint32_t text_base, std::uint32_t text_end,
+            std::span<const std::uint32_t> seeds, const IsaUopSpec& spec,
+            const FusedTable& fused, PeekFn&& peek)
+      : text_base_(text_base), text_end_(text_end), slots_((text_end - text_base) / 4) {
+    std::vector<std::uint32_t> work(seeds.begin(), seeds.end());
+    while (!work.empty()) {
+      const std::uint32_t addr = work.back();
+      work.pop_back();
+      if (addr < text_base_ || addr >= text_end_ || (addr & 3U) != 0 ||
+          slots_[index(addr)] != nullptr) {
+        continue;
+      }
+      auto block = std::make_unique<TranslatedBlock>(
+          translate_block(addr, text_base_, text_end_, spec, fused, peek));
+      block->shared = true;
+      if (block->has_taken) work.push_back(block->taken_target);
+      if (block->has_fall) work.push_back(block->fall_target);
+      const TransEntry& last = block->entries.back();
+      if (last.link || last.kind == FusedKind::kSyscall) work.push_back(last.addr + 4);
+      slots_[index(addr)] = block.get();
+      blocks_.push_back(std::move(block));
+    }
+    link_blocks();
+  }
+
+  BlockBase(const BlockBase&) = delete;
+  BlockBase& operator=(const BlockBase&) = delete;
+
+  std::uint32_t text_base() const { return text_base_; }
+  std::uint32_t text_end() const { return text_end_; }
+  std::size_t size() const { return blocks_.size(); }
+  // The base block starting at `addr`, or nullptr.
+  const TranslatedBlock* block(std::uint32_t addr) const { return slots_[index(addr)]; }
+
+ private:
+  friend class TranslationCache;
+
+  std::size_t index(std::uint32_t addr) const { return (addr - text_base_) / 4; }
+  // Installs every static edge whose target is itself a base block.
+  void link_blocks();
+
+  std::uint32_t text_base_;
+  std::uint32_t text_end_;
+  std::vector<TranslatedBlock*> slots_;  // one per text word; null = not in base
+  std::vector<std::unique_ptr<TranslatedBlock>> blocks_;
+};
+
 class TranslationCache {
  public:
   struct Stats {
-    std::uint64_t translations = 0;   // blocks translated
-    std::uint64_t hits = 0;           // block lookups served from the cache
+    std::uint64_t translations = 0;   // blocks translated by this cache
+    std::uint64_t hits = 0;           // block lookups served (own or base)
     std::uint64_t invalidations = 0;  // blocks dropped on a tag mismatch
     std::uint64_t chain_severed = 0;  // chain links cut by invalidations
   };
 
-  TranslationCache(std::uint32_t text_base, std::uint32_t text_end)
-      : text_base_(text_base), text_end_(text_end), slots_((text_end - text_base) / 4) {}
+  // An empty cache over [text_base, text_end), optionally an overlay on a
+  // shared base built for the same text range.
+  TranslationCache(std::uint32_t text_base, std::uint32_t text_end,
+                   std::shared_ptr<const BlockBase> base = nullptr);
 
-  // Returns the cached block starting at `addr`, or nullptr.
+  // Returns the block this cache serves at `addr` — its own, else the
+  // base's unless dead in this view — or nullptr.
   TranslatedBlock* lookup(std::uint32_t addr) {
-    TranslatedBlock* block = slots_[index(addr)].get();
+    TranslatedBlock* block = view_[index(addr)];
     if (block != nullptr) ++stats_.hits;
     return block;
   }
 
+  // True while `block` is the block this cache serves at its start address:
+  // the precondition for following a chain link into it.
+  bool live(const TranslatedBlock* block) const { return view_[index(block->start)] == block; }
+
   // Translates the block starting at `addr`, reading text words through
-  // `peek` (which must be free of architectural side effects), caches it and
-  // returns it. `addr` must be a valid text address.
+  // `peek` (which must be free of architectural side effects), caches it in
+  // this overlay and returns it. `addr` must be a valid text address.
   template <typename PeekFn>
   TranslatedBlock* translate(std::uint32_t addr, const IsaUopSpec& spec,
                              const FusedTable& fused, PeekFn&& peek) {
-    TranslatedBlock block;
-    block.start = addr;
-    for (std::uint32_t a = addr;; a += 4) {
-      block.entries.push_back(make_entry(a, peek(a), spec, fused));
-      if (is_block_terminator(block.entries.back().kind)) break;
-      if (a + 4 >= text_end_ || block.entries.size() >= kMaxBlockEntries) {
-        // Force-terminate: the final entry runs through the interpreter,
-        // which retires it and hands control back to the block loop.
-        block.entries.back().kind = FusedKind::kGeneric;
-        break;
-      }
-    }
-    block.straight_len = static_cast<std::uint32_t>(block.entries.size() - 1);
+    auto block = std::make_unique<TranslatedBlock>(
+        translate_block(addr, text_base_, text_end_, spec, fused, peek));
     ++stats_.translations;
-    resolve_edges(&block);
-    auto& slot = slots_[index(addr)];
-    // A live block in this slot (it should have been invalidated first, but
-    // never trust that) must drop out of the chain before it is freed.
-    if (slot != nullptr) sever_links(slot.get());
-    slot = std::make_unique<TranslatedBlock>(std::move(block));
-    return slot.get();
+    const std::size_t i = index(addr);
+    // An owned block in this slot (it should have been invalidated first, but
+    // never trust that) must drop out of the chain before it is freed; a
+    // base block in it simply leaves this view.
+    if (owned_[i] != nullptr) sever_links(owned_[i].get());
+    owned_[i] = std::move(block);
+    view_[i] = owned_[i].get();
+    return view_[i];
   }
 
   // Links `from`'s taken or fall-through edge to `to`, after verifying that
-  // the edge exists, is not already linked, and that `to` really is the
-  // block at the precomputed target address.
+  // `from` is this cache's own block, that the edge exists and is not already
+  // linked to a live block, and that `to` really is the block at the
+  // precomputed target address. Base blocks are never written.
   void chain(TranslatedBlock* from, bool taken_edge, TranslatedBlock* to);
 
   // Drops the block starting at `block_start` (a tag mismatched during its
-  // execution), severing every chain link into and out of it first. Other
-  // cached blocks overlapping the rewritten word are caught by their own
-  // entry tags when they next execute.
-  void invalidate(std::uint32_t block_start) {
-    ++stats_.invalidations;
-    auto& slot = slots_[index(block_start)];
-    if (slot != nullptr) {
-      sever_links(slot.get());
-      slot.reset();
-    }
-  }
+  // execution) from this view. An owned block is freed after every chain
+  // link into and out of it is severed; a base block is only marked dead
+  // here. Other blocks overlapping the rewritten word are caught by their
+  // own entry tags when they next execute.
+  void invalidate(std::uint32_t block_start);
 
   const Stats& stats() const { return stats_; }
 
  private:
   std::size_t index(std::uint32_t addr) const { return (addr - text_base_) / 4; }
 
-  // Computes the terminator's static successor edges (translate-time).
-  void resolve_edges(TranslatedBlock* block) const;
-  // Cuts every inbound and outbound chain link of `block` (invalidation).
+  // Cuts every inbound and outbound chain link of the owned `block`.
   void sever_links(TranslatedBlock* block);
 
   std::uint32_t text_base_;
   std::uint32_t text_end_;
-  std::vector<std::unique_ptr<TranslatedBlock>> slots_;
+  std::shared_ptr<const BlockBase> base_;  // null: every block is translated here
+  // The block served per text word: an owned block, a base block, or null
+  // (never translated here, or a base block dead in this view).
+  std::vector<TranslatedBlock*> view_;
+  std::vector<std::unique_ptr<TranslatedBlock>> owned_;  // this overlay's blocks
   Stats stats_;
 };
 

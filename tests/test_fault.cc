@@ -2,7 +2,12 @@
 // guarantee (§6.3), baseline traps, and campaign determinism.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "casm/builder.h"
+#include "exp/sweep.h"
 #include "fault/campaign.h"
 #include "support/bitops.h"
 #include "support/rng.h"
@@ -181,29 +186,49 @@ TEST(Campaign, ParallelDeterminismAcrossSitesOnRealWorkload) {
   }
 }
 
+// The campaign programs the engine and checkpoint contracts are checked on:
+// bitcount (many short blocks) and dijkstra (the benchmarked campaign, whose
+// trials warm-start from a shared translated-block base).
+std::vector<std::pair<std::string, casm_::Image>> contract_programs() {
+  return {{"bitcount", workloads::build_workload("bitcount", {0.02, 42})},
+          {"dijkstra", workloads::build_workload("dijkstra", {0.1, 42})}};
+}
+
+// Every trial's cell — its outcome code — in trial order, run on `jobs`
+// threads. Comparing these instead of summary counts keeps offsetting
+// per-trial differences from hiding.
+std::vector<exp::CellResult> trial_cells(const CampaignRunner& runner, FaultSite site,
+                                         unsigned jobs = 1) {
+  return exp::run_all(runner.sweep(site, 1, 60, 13), jobs);
+}
+
 TEST(Campaign, ThreadedEngineDoesNotChangeCampaignResults) {
   // The tamper-safety contract of both engine caches at campaign
   // granularity: across every site that corrupts fetched words (memory
   // rewrites, per-fetch bus flips, post-ID latch faults, cache-resident
   // flips through a live I-cache), the oracle (the switch engine behind its
-  // predecode cache) and the threaded engine (fused handlers over chained,
-  // cached blocks; every injected fault that lands on a chained block must
-  // sever its links and replay through the interpreter) must produce
-  // bit-identical outcome counts.
-  const casm_::Image image = workloads::build_workload("bitcount", {0.02, 42});
-  cpu::CpuConfig interp = monitored_config();
-  interp.icache.enabled = true;  // exercise the icache-line site too
-  interp.engine = cpu::Engine::kSwitch;
-  cpu::CpuConfig threaded = interp;
-  threaded.engine = cpu::Engine::kThreaded;
-  CampaignRunner a(image, interp);
-  CampaignRunner b(image, threaded);
-  for (const FaultSite site :
-       {FaultSite::kMemoryText, FaultSite::kFetchBus, FaultSite::kPostIdLatch,
-        FaultSite::kICacheLine}) {
-    const CampaignSummary sa = a.run_random(site, 1, 60, 13);
-    const CampaignSummary sb = b.run_random(site, 1, 60, 13);
-    EXPECT_TRUE(summaries_identical(sa, sb)) << fault_site_name(site);
+  // predecode cache) and the threaded engine (fused handlers over chained
+  // blocks, every trial an overlay on the campaign's shared block base;
+  // every injected fault that lands on a base block must kill it in that
+  // trial only and replay through the interpreter) must produce the same
+  // outcome trial by trial — also with four trials at a time reading the
+  // one base.
+  for (const auto& [name, image] : contract_programs()) {
+    cpu::CpuConfig interp = monitored_config();
+    interp.icache.enabled = true;  // exercise the icache-line site too
+    interp.engine = cpu::Engine::kSwitch;
+    cpu::CpuConfig threaded = interp;
+    threaded.engine = cpu::Engine::kThreaded;
+    CampaignRunner a(image, interp);
+    CampaignRunner b(image, threaded);
+    for (const FaultSite site :
+         {FaultSite::kMemoryText, FaultSite::kFetchBus, FaultSite::kPostIdLatch,
+          FaultSite::kICacheLine}) {
+      const std::vector<exp::CellResult> oracle = trial_cells(a, site);
+      EXPECT_EQ(oracle, trial_cells(b, site)) << name << ", " << fault_site_name(site);
+      EXPECT_EQ(oracle, trial_cells(b, site, 4))
+          << name << ", " << fault_site_name(site) << ", 4 jobs";
+    }
   }
 }
 
@@ -238,30 +263,30 @@ TEST(Campaign, ICacheResidentFaultCaught) {
 TEST(Campaign, CheckpointsDoNotChangeCampaignResults) {
   // The campaign accelerator's core contract: restoring golden-run snapshots
   // (at any stride, including a pathological one) must reproduce the full
-  // re-execution outcome counts bit for bit, at every site and on both
-  // engines. The memory-text rows also pin down the shared COW image, which
-  // checkpoint-off trials read through as well.
-  const casm_::Image image = workloads::build_workload("bitcount", {0.02, 42});
-  for (const cpu::Engine engine : {cpu::Engine::kSwitch, cpu::Engine::kThreaded}) {
-    cpu::CpuConfig config = monitored_config();
-    config.icache.enabled = true;  // exercise the icache-line site too
-    config.engine = engine;
-    CampaignRunner fast(image, config);  // checkpoints default on, auto stride
-    CampaignRunner strided(image, config, {true, 97});
-    CampaignRunner slow(image, config, {false, 0});
-    ASSERT_TRUE(fast.checkpoints_enabled());
-    ASSERT_FALSE(slow.checkpoints_enabled());
-    for (const FaultSite site :
-         {FaultSite::kMemoryText, FaultSite::kFetchBus, FaultSite::kFetchBusPaired,
-          FaultSite::kPostIdLatch, FaultSite::kICacheLine}) {
-      const CampaignSummary a = fast.run_random(site, 1, 60, 13);
-      const CampaignSummary b = strided.run_random(site, 1, 60, 13);
-      const CampaignSummary c = slow.run_random(site, 1, 60, 13);
-      EXPECT_TRUE(summaries_identical(a, b))
-          << fault_site_name(site) << " (stride 97), engine " << cpu::engine_name(engine);
-      EXPECT_TRUE(summaries_identical(a, c))
-          << fault_site_name(site) << " (checkpoints off), engine "
-          << cpu::engine_name(engine);
+  // re-execution outcome of every trial, at every site and on both engines.
+  // The memory-text rows also pin down the shared COW image, which
+  // checkpoint-off trials read through as well; on the threaded engine each
+  // stride seeds its own block base at its snapshots' resume addresses.
+  for (const auto& [name, image] : contract_programs()) {
+    for (const cpu::Engine engine : {cpu::Engine::kSwitch, cpu::Engine::kThreaded}) {
+      cpu::CpuConfig config = monitored_config();
+      config.icache.enabled = true;  // exercise the icache-line site too
+      config.engine = engine;
+      CampaignRunner fast(image, config);  // checkpoints default on, auto stride
+      CampaignRunner strided(image, config, {true, 97});
+      CampaignRunner slow(image, config, {false, 0});
+      ASSERT_TRUE(fast.checkpoints_enabled());
+      ASSERT_FALSE(slow.checkpoints_enabled());
+      for (const FaultSite site :
+           {FaultSite::kMemoryText, FaultSite::kFetchBus, FaultSite::kFetchBusPaired,
+            FaultSite::kPostIdLatch, FaultSite::kICacheLine}) {
+        const std::string where = name + ", " + std::string(fault_site_name(site)) +
+                                  ", engine " + std::string(cpu::engine_name(engine));
+        const std::vector<exp::CellResult> a = trial_cells(fast, site);
+        EXPECT_EQ(a, trial_cells(strided, site)) << where << " (stride 97)";
+        EXPECT_EQ(a, trial_cells(slow, site)) << where << " (checkpoints off)";
+        EXPECT_EQ(a, trial_cells(fast, site, 4)) << where << " (4 jobs)";
+      }
     }
   }
 }

@@ -4,6 +4,7 @@
 
 #include "casm/builder.h"
 #include "cpu/cpu.h"
+#include "cpu/snapshot.h"
 #include "isa/instruction.h"
 #include "mem/fetch_path.h"
 #include "support/error.h"
@@ -700,6 +701,216 @@ TEST(TranslationCache, SelfLoopChainSeversCleanly) {
   tc.invalidate(base);
   EXPECT_EQ(tc.lookup(base), nullptr);
   EXPECT_EQ(tc.stats().chain_severed, 1U);
+}
+
+// --- Shared block base and per-trial overlays -------------------------------
+//
+// A campaign translates its program once into a BlockBase; every trial's
+// TranslationCache overlays it. Overlays must never write the base, must keep
+// their invalidations to themselves, and must never follow a link into a
+// block that is dead in their own view.
+
+// Everything observable about a base: per block its start, entry tags and
+// link targets, and that nothing ever recorded a pred on it.
+std::vector<std::uint32_t> base_fingerprint(const BlockBase& base) {
+  std::vector<std::uint32_t> out;
+  for (std::uint32_t addr = base.text_base(); addr < base.text_end(); addr += 4) {
+    const TranslatedBlock* block = base.block(addr);
+    if (block == nullptr) continue;
+    out.push_back(block->start);
+    for (const TransEntry& e : block->entries) out.push_back(e.word);
+    out.push_back(block->taken != nullptr ? block->taken->start : 0);
+    out.push_back(block->fall != nullptr ? block->fall->start : 0);
+    out.push_back(static_cast<std::uint32_t>(block->preds.size()));
+    out.push_back(block->shared ? 1 : 0);
+  }
+  return out;
+}
+
+// checked_sum_loop's layout: two li words, then the loop body
+// (addu, addiu, bnez) at the bnez target.
+constexpr std::uint32_t kSumLoopBody = casm_::kTextBase + 8;
+
+TEST(BlockBase, ClosesOverStaticEdgesAndPreChains) {
+  const casm_::Image image = checked_sum_loop();
+  const IsaUopSpec spec = build_isa_uops();
+  const FusedTable fused = build_fused_table(spec);
+  const std::uint32_t seeds[] = {image.entry};
+  const BlockBase base(image.text_base, image.text_end(), seeds, spec, fused,
+                       [&](std::uint32_t a) { return image.word_at(a); });
+  // Seeded at the entry, the closure reaches the loop body through the
+  // bnez's taken edge, and the self-check block through its fall edge.
+  const TranslatedBlock* entry = base.block(image.entry);
+  const TranslatedBlock* body = base.block(kSumLoopBody);
+  ASSERT_NE(entry, nullptr);
+  ASSERT_NE(body, nullptr);
+  EXPECT_GE(base.size(), 3U);
+  EXPECT_EQ(entry->taken, body);
+  EXPECT_EQ(body->taken, body);  // the loop's self-link
+  ASSERT_NE(body->fall, nullptr);
+  EXPECT_EQ(body->fall, entry->fall);
+  EXPECT_TRUE(body->shared);
+  EXPECT_TRUE(body->preds.empty());
+}
+
+TEST(BlockBase, OverlaysKeepInvalidationsToThemselvesAndNeverWriteTheBase) {
+  const casm_::Image image = checked_sum_loop();
+  const IsaUopSpec spec = build_isa_uops();
+  const FusedTable fused = build_fused_table(spec);
+  const auto peek = [&](std::uint32_t a) { return image.word_at(a); };
+  const std::uint32_t seeds[] = {image.entry};
+  const auto base =
+      std::make_shared<const BlockBase>(image.text_base, image.text_end(), seeds, spec, fused, peek);
+  const std::vector<std::uint32_t> before = base_fingerprint(*base);
+
+  TranslationCache a(image.text_base, image.text_end(), base);
+  TranslationCache b(image.text_base, image.text_end(), base);
+  TranslatedBlock* entry = a.lookup(image.entry);
+  TranslatedBlock* body = a.lookup(kSumLoopBody);
+  ASSERT_NE(body, nullptr);
+  EXPECT_TRUE(body->shared);
+  EXPECT_EQ(b.lookup(kSumLoopBody), body);  // both overlays serve the base block
+  EXPECT_EQ(a.stats().hits, 2U);
+  EXPECT_EQ(a.stats().translations, 0U);
+
+  // Overlay a kills the body: dead in a, still live in b.
+  a.invalidate(kSumLoopBody);
+  EXPECT_EQ(a.lookup(kSumLoopBody), nullptr);
+  EXPECT_FALSE(a.live(body));
+  EXPECT_TRUE(b.live(body));
+  EXPECT_EQ(b.lookup(kSumLoopBody), body);
+  // The base keeps its links into the dead block, but a must refuse them.
+  EXPECT_EQ(entry->taken, body);
+  EXPECT_FALSE(a.live(entry->taken));
+
+  // Retranslate into a's overlay and try to chain both ways: a base `from`
+  // is never written, and an owned block may link into the live base.
+  TranslatedBlock* fresh = a.translate(kSumLoopBody, spec, fused, peek);
+  EXPECT_FALSE(fresh->shared);
+  EXPECT_EQ(a.lookup(kSumLoopBody), fresh);
+  EXPECT_TRUE(a.live(fresh));
+  a.chain(entry, /*taken_edge=*/true, fresh);
+  EXPECT_EQ(entry->taken, body);  // unchanged: base blocks are read-only
+  a.chain(fresh, /*taken_edge=*/true, fresh);
+  a.chain(fresh, /*taken_edge=*/false, a.lookup(body->fall_target));
+  EXPECT_EQ(fresh->taken, fresh);
+  EXPECT_EQ(fresh->fall, body->fall);
+  EXPECT_TRUE(body->fall->preds.empty());  // an owned->base link records no pred
+
+  // Overlay b runs its own cycle on the same blocks, then a drops its owned
+  // block (severing its links into the base) — the base never moves.
+  b.invalidate(image.entry);
+  TranslatedBlock* b_entry = b.translate(image.entry, spec, fused, peek);
+  b.chain(b_entry, /*taken_edge=*/true, b.lookup(kSumLoopBody));
+  EXPECT_EQ(b_entry->taken, body);
+  a.invalidate(kSumLoopBody);
+  EXPECT_EQ(a.stats().chain_severed, 2U);  // fresh's self-link and its base fall link
+  EXPECT_EQ(a.lookup(kSumLoopBody), nullptr);
+  EXPECT_EQ(b.lookup(kSumLoopBody), body);
+  EXPECT_EQ(base_fingerprint(*base), before);
+}
+
+TEST(BlockBase, DeadLinkIsReplacedOnlyByTheRetranslatedSuccessor) {
+  // An owned block linked into a base block that later dies in this view:
+  // the stale link must not count as installed, so chain() relinks it to the
+  // retranslation.
+  const casm_::Image image = checked_sum_loop();
+  const IsaUopSpec spec = build_isa_uops();
+  const FusedTable fused = build_fused_table(spec);
+  const auto peek = [&](std::uint32_t a) { return image.word_at(a); };
+  const std::uint32_t seeds[] = {image.entry};
+  const auto base =
+      std::make_shared<const BlockBase>(image.text_base, image.text_end(), seeds, spec, fused, peek);
+  TranslationCache tc(image.text_base, image.text_end(), base);
+  TranslatedBlock* body = tc.lookup(kSumLoopBody);
+  // A mid-body block (as after a tag-mismatch replay of the addu) links into
+  // the base loop body.
+  TranslatedBlock* tail = tc.translate(kSumLoopBody + 4, spec, fused, peek);
+  tc.chain(tail, /*taken_edge=*/true, body);
+  ASSERT_EQ(tail->taken, body);
+  tc.invalidate(kSumLoopBody);
+  EXPECT_FALSE(tc.live(tail->taken));
+  TranslatedBlock* fresh = tc.translate(kSumLoopBody, spec, fused, peek);
+  tc.chain(tail, /*taken_edge=*/true, fresh);
+  EXPECT_EQ(tail->taken, fresh);
+  ASSERT_EQ(fresh->preds.size(), 1U);
+  EXPECT_EQ(fresh->preds[0].first, tail);
+}
+
+cpu::CpuConfig unmonitored_threaded() {
+  cpu::CpuConfig config;
+  config.engine = cpu::Engine::kThreaded;
+  return config;
+}
+
+TEST(BlockBase, TextRewriteInBaseBlockReplaysAndNeverFollowsDeadLinks) {
+  // The base was translated from clean text; a memory-text rewrite of the
+  // loop's addu makes both base blocks holding it (the entry block, which
+  // runs into the loop, and the loop body) mismatch once each. Each dies in
+  // this trial's view, the rewritten word replays through the interpreter,
+  // and the body is retranslated from current text. Were the base's self-link
+  // or the replay tail's link into the dead body ever followed, every loop
+  // iteration would mismatch and invalidate again. Unmonitored, so the
+  // corrupted loop runs to the self-check instead of being stopped at its
+  // first block end.
+  const casm_::Image image = checked_sum_loop();
+  const std::uint32_t mask = 1U << 11;  // addu's rd: the sum lands in t2
+  cpu::CpuConfig oracle_config = unmonitored_threaded();
+  oracle_config.engine = cpu::Engine::kSwitch;
+  cpu::Cpu oracle(oracle_config, image);
+  oracle.memory().write32(kSumLoopBody, oracle.memory().read32(kSumLoopBody) ^ mask);
+  const cpu::RunResult expected = oracle.run();
+  EXPECT_EQ(expected.reason, cpu::ExitReason::kSelfCheckFailed);
+
+  cpu::LoadedImage loaded = cpu::preload_image(unmonitored_threaded(), image);
+  const std::uint32_t seeds[] = {image.entry};
+  cpu::build_block_base(image, seeds, &loaded);
+  const std::vector<std::uint32_t> before = base_fingerprint(*loaded.blocks);
+  cpu::Cpu trial(unmonitored_threaded(), image, &loaded);
+  trial.memory().write32(kSumLoopBody, trial.memory().read32(kSumLoopBody) ^ mask);
+  EXPECT_EQ(trial.run(), expected);
+  const TranslationCache::Stats& stats = trial.translation_cache()->stats();
+  EXPECT_EQ(trial.tcache_mismatches(), 2U);
+  EXPECT_EQ(stats.invalidations, 2U);
+  EXPECT_EQ(stats.translations, 2U);  // the replay tail and the body
+  EXPECT_GT(trial.chain_follows(), 15U);  // the retranslated loop chains to itself
+
+  // A second trial on the same base still runs it clean and warm.
+  cpu::Cpu clean(unmonitored_threaded(), image, &loaded);
+  cpu::Cpu cold(unmonitored_threaded(), image);
+  EXPECT_EQ(clean.run(), cold.run());
+  EXPECT_EQ(clean.translation_cache()->stats().translations, 0U);
+  EXPECT_EQ(clean.translation_cache()->stats().invalidations, 0U);
+  EXPECT_EQ(base_fingerprint(*loaded.blocks), before);
+}
+
+TEST(BlockBase, MonitoredTrialsOnOneBaseMatchTheSwitchEngine) {
+  // Every site that corrupts a fetched word, on a threaded trial warm from
+  // the shared base and on the switch engine (which ignores the base).
+  const casm_::Image image = checked_sum_loop();
+  cpu::LoadedImage loaded = cpu::preload_image(engine_config(cpu::Engine::kThreaded), image);
+  const std::uint32_t seeds[] = {image.entry};
+  cpu::build_block_base(image, seeds, &loaded);
+  const std::vector<std::uint32_t> before = base_fingerprint(*loaded.blocks);
+  for (int fault = 0; fault < 3; ++fault) {
+    SCOPED_TRACE("fault " + std::to_string(fault));
+    cpu::RunResult results[2];
+    for (const cpu::Engine engine : {cpu::Engine::kSwitch, cpu::Engine::kThreaded}) {
+      cpu::Cpu cpu(engine_config(engine), image, &loaded);
+      OneShotTamper tamper(/*trigger=*/9, /*mask=*/1U << 11);
+      if (fault == 0) {
+        cpu.memory().write32(kSumLoopBody, cpu.memory().read32(kSumLoopBody) ^ (1U << 11));
+      } else if (fault == 1) {
+        cpu.fetch_path().set_bus_tamper(&tamper);
+      } else {
+        cpu.set_post_id_fault({4, 1U << 16});
+      }
+      results[engine == cpu::Engine::kSwitch ? 0 : 1] = cpu.run();
+      EXPECT_EQ(cpu.translation_cache() != nullptr, engine == cpu::Engine::kThreaded);
+    }
+    EXPECT_EQ(results[0], results[1]);
+  }
+  EXPECT_EQ(base_fingerprint(*loaded.blocks), before);
 }
 
 // --- Batched / unbatched handler boundary ------------------------------------
