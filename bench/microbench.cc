@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks of the simulator's own hot paths —
 // simulation throughput (instructions/second), HASHFU steps, and IHT
-// lookups — so regressions in the substrate itself are visible.
+// lookups and fills — so regressions in the substrate itself are visible.
 #include <benchmark/benchmark.h>
 
 #include "cic/iht.h"
@@ -45,17 +45,68 @@ BENCHMARK(BM_HashStep)
     ->Arg(static_cast<int>(hash::HashKind::kRotXor))
     ->Arg(static_cast<int>(hash::HashKind::kCrc32));
 
-void BM_IhtLookup(benchmark::State& state) {
-  const auto entries = static_cast<unsigned>(state.range(0));
+// IHT lookups at the evaluated capacities, as the monitor presents them:
+// (start, end) of word-aligned blocks one 64-byte stride apart. Hits probe
+// resident ranges round-robin; misses probe absent ones; thrash walks a
+// working set twice the capacity and refills every miss (the OS handler's
+// pattern on a table that is too small). The range index makes hits and
+// misses independent of capacity; thrash adds a fill per miss, whose victim
+// scan stays linear in capacity.
+constexpr std::uint32_t block_start(std::uint32_t i) { return 0x00400000 + i * 0x40; }
+
+cic::Iht full_table(unsigned entries) {
   cic::Iht iht(entries, cic::ReplacePolicy::kLru);
-  for (unsigned i = 0; i < entries; ++i) iht.fill(i * 16, i * 16 + 12, i);
+  for (std::uint32_t i = 0; i < entries; ++i) iht.fill(block_start(i), block_start(i) + 12, i);
+  return iht;
+}
+
+void BM_IhtLookupHit(benchmark::State& state) {
+  const auto entries = static_cast<std::uint32_t>(state.range(0));
+  cic::Iht iht = full_table(entries);
   std::uint32_t key = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(iht.lookup(key * 16, key * 16 + 12, key));
-    key = (key + 1) % entries;
+    benchmark::DoNotOptimize(iht.lookup(block_start(key), block_start(key) + 12, key));
+    key = key + 1 == entries ? 0 : key + 1;
   }
 }
-BENCHMARK(BM_IhtLookup)->Arg(8)->Arg(16)->Arg(32);
+BENCHMARK(BM_IhtLookupHit)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
+
+void BM_IhtLookupMiss(benchmark::State& state) {
+  const auto entries = static_cast<std::uint32_t>(state.range(0));
+  cic::Iht iht = full_table(entries);
+  std::uint32_t key = 0;
+  for (auto _ : state) {
+    const std::uint32_t start = block_start(entries + key);  // never filled
+    benchmark::DoNotOptimize(iht.lookup(start, start + 12, key));
+    key = key + 1 == entries ? 0 : key + 1;
+  }
+}
+BENCHMARK(BM_IhtLookupMiss)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
+
+void BM_IhtLookupThrash(benchmark::State& state) {
+  const auto entries = static_cast<std::uint32_t>(state.range(0));
+  cic::Iht iht = full_table(entries);
+  std::uint32_t key = 0;
+  for (auto _ : state) {
+    const std::uint32_t start = block_start(key);
+    if (!iht.lookup(start, start + 12, key).found) iht.fill(start, start + 12, key);
+    key = key + 1 == 2 * entries ? 0 : key + 1;
+  }
+}
+BENCHMARK(BM_IhtLookupThrash)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
+
+// Iht::fill into a full LRU table: every fill evicts (the victim scan is
+// linear in capacity; fills only happen on the OS miss path).
+void BM_IhtFillLru(benchmark::State& state) {
+  const auto entries = static_cast<std::uint32_t>(state.range(0));
+  cic::Iht iht = full_table(entries);
+  std::uint32_t key = entries;
+  for (auto _ : state) {
+    iht.fill(block_start(key), block_start(key) + 12, key);
+    ++key;
+  }
+}
+BENCHMARK(BM_IhtFillLru)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
 }  // namespace
 

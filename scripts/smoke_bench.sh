@@ -52,6 +52,9 @@ run ablation_hash "${scale}"
 run ablation_os_cost "${scale}"
 run ablation_replacement "${scale}"
 run table2_area_timing
+# The google-benchmark microbenches (built only when libbenchmark is found):
+# one short pass over every row, so a crashing or hanging row surfaces here.
+run microbench --benchmark_min_time=0.01
 
 # The unified CLI, one subcommand each (campaign sized to stay cheap).
 run cicmon table1 --scale "${scale}"

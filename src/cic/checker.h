@@ -10,15 +10,21 @@
 // to search the FHT — in hardware these values are exactly what was driven
 // onto the CAM's match lines, so latching them costs three registers.
 //
-// Chained block edges do not change what the CIC observes. The threaded
-// engine's superblock chaining only short-circuits the software dispatch
-// loop between translated blocks; the Figure 4 monitoring head still runs at
-// every flow-control instruction (IHT lookup on <STA, PPC, RHASH>, then
-// STA/RHASH reset), and the successor block's first fetch still latches STA
-// and folds into RHASH through the real fetch path, whether control arrived
-// via a chain link or via the dispatch loop. Per-region hash coverage, IHT
-// contention, and exception timing are therefore identical with chaining on
-// or off — enforced by the chain on/off byte-identity tests and CI axis.
+// The threaded engine's shortcuts do not change what the CIC observes.
+// Superblock chaining only short-circuits the software dispatch loop between
+// translated blocks: the Figure 4 monitoring head still runs at every
+// flow-control instruction (IHT lookup on <STA, PPC, RHASH>, then STA/RHASH
+// reset), whether control arrived via a chain link or via the dispatch loop.
+// Region-granular RHASH folding only defers the Figure 3(b) fold: a block
+// entered at a region start (STA == 0, RHASH at its reset value) latches STA
+// and fetches every word through the real fetch path, and once each word has
+// matched its translation tag, RHASH is set from the fold of those tags
+// precomputed at translation (uop::TransEntry::rhash) — the value the
+// per-fetch steps would have produced — before the flow-control instruction
+// reads it. A word that differs from its tag is folded through this HASHFU.
+// Per-region hash coverage, IHT contention and exception timing are
+// therefore exactly the switch interpreter's, which the engine byte-identity
+// tests and the switch vs threaded CI diffs enforce.
 #pragma once
 
 #include <cstdint>
@@ -93,8 +99,9 @@ class CodeIntegrityChecker {
   const hash::HashFunctionUnit& hash_unit() const { return *hashfu_; }
   const CicConfig& config() const { return config_; }
 
-  // Hardware reset value of RHASH at the start of a basic block.
-  std::uint32_t rhash_init() const { return hashfu_->init(); }
+  // Hardware reset value of RHASH at the start of a basic block (the unit's
+  // init(), latched at construction: read at every block end).
+  std::uint32_t rhash_init() const { return rhash_init_; }
 
   CheckerState save_state() const { return {iht_.save_state(), last_lookup_}; }
   void restore_state(const CheckerState& s) {
@@ -106,6 +113,7 @@ class CodeIntegrityChecker {
   CicConfig config_;
   std::unique_ptr<hash::HashFunctionUnit> hashfu_;
   hash::HashKind kind_;  // hashfu_->kind(), latched for the inline fast path
+  std::uint32_t rhash_init_;  // hashfu_->init()
   Iht iht_;
   LookupKey last_lookup_;
 };

@@ -314,23 +314,33 @@ void Cpu::handle_pending_monitor_exception() {
   }
 }
 
-Cpu::IfLatch Cpu::fetch_and_hash(std::uint32_t pc) {
+Cpu::IfLatch Cpu::fetch_and_latch(std::uint32_t pc) {
   // Straight-line equivalent of the canonical IF program, verified against
-  // the spec at construction (fast_fetch_). Effects (special-register
-  // traffic, fetch and hash calls) match the interpreter bit for bit; the
-  // temps it would write come from write_if_temps.
+  // the spec at construction (fast_fetch_), up to the RHASH fold. Effects
+  // (special-register traffic, fetch calls) match the interpreter bit for
+  // bit; the temps it would write come from write_if_temps.
   IfLatch f;
   f.word = fetch_.fetch(pc);                      // instr = IMAU.read(current_pc)
   special_[sp(uop::SpecialReg::kIReg)] = f.word;  // IReg.write(instr)
   special_[sp(uop::SpecialReg::kCpc)] = pc + 4;   // CPC.inc()
   if (spec_->monitoring_embedded) {
-    // Figure 3(b): latch the block start, fold the word into the hash.
+    // Figure 3(b): latch the block start.
     f.sta_before = special_[sp(uop::SpecialReg::kSta)];
     if (f.sta_before == 0) special_[sp(uop::SpecialReg::kSta)] = pc;
-    f.old_hash = special_[sp(uop::SpecialReg::kRhash)];
-    f.new_hash = cic_->hash_step(f.old_hash, f.word);
-    special_[sp(uop::SpecialReg::kRhash)] = f.new_hash;
   }
+  return f;
+}
+
+void Cpu::fold_hash(IfLatch& f) {
+  // Figure 3(b): fold the fetched word into the running hash.
+  f.old_hash = special_[sp(uop::SpecialReg::kRhash)];
+  f.new_hash = cic_->hash_step(f.old_hash, f.word);
+  special_[sp(uop::SpecialReg::kRhash)] = f.new_hash;
+}
+
+Cpu::IfLatch Cpu::fetch_and_hash(std::uint32_t pc) {
+  IfLatch f = fetch_and_latch(pc);
+  if (spec_->monitoring_embedded) fold_hash(f);
   return f;
 }
 
@@ -562,11 +572,21 @@ void Cpu::monitor_block_end() {
   special_[sp(uop::SpecialReg::kRhash)] = cic_->rhash_init();
 }
 
-Cpu::FusedFlow Cpu::tampered_entry(std::uint32_t word) {
+Cpu::FusedFlow Cpu::tampered_entry(const uop::TransEntry& e, IfLatch f, std::uint32_t word,
+                                   bool batched) {
   // The fetched word diverged from the translation tag. Execute the word the
   // pipeline actually carries through the interpreter (its program carries
-  // the monitoring extension, so flow control still checks the block), then
-  // return to the block loop, which retranslates from current text.
+  // the monitoring extension, so flow control still checks the block, and
+  // may read the IF temps), then return to the block loop, which
+  // retranslates from current text. A batched entry first folds the prefix
+  // before it into result_ and RHASH (this entry has not retired), then
+  // hashes the word it really fetched, which no translation-time fold covers.
+  if (batched) {
+    ctx_.instr_addr = e.addr;
+    flush_batch(&e);
+    if (spec_->monitoring_embedded) fold_hash(f);
+  }
+  write_if_temps(e.addr, f);
   ++tcache_mismatches_;
   tcache_->invalidate(cur_block_start_);
   ctx_.instr = isa::decode(word);
@@ -576,13 +596,26 @@ Cpu::FusedFlow Cpu::tampered_entry(std::uint32_t word) {
              : FusedFlow::kRestart;
 }
 
+uop::TranslatedBlock* Cpu::translate(std::uint32_t addr) {
+  // Translation peeks words straight out of memory: no bus traffic, no
+  // I-cache fills, no RHASH update (the region folds it precomputes touch no
+  // register). All architectural fetch effects happen per entry inside
+  // fused_step, through the real fetch path.
+  return tcache_->translate(addr, *spec_, *fused_, cic_ ? &cic_->hash_unit() : nullptr,
+                            [this](std::uint32_t a) { return memory_.read32(a); });
+}
+
 void Cpu::flush_batch(const uop::TransEntry* next) {
   // Entries [batch_base_, next) retired through the batched handlers: one
   // instruction and one base cycle each, plus the dynamic stalls (I-cache,
   // load-use, muldiv) accumulated in batch_extra_. The stat breakdown
   // counters (icache_stall_cycles, load_use_stalls, muldiv_stalls) were
-  // bumped as they happened — only the aggregates were deferred.
+  // bumped as they happened — only the aggregates were deferred. So was the
+  // RHASH fold: the batch opened its check region at the block start and
+  // every word matched its tag, so RHASH is the translation-time fold through
+  // the last batched tag (0 == RHASH unmonitored, where nothing folds).
   const std::uint64_t retired = static_cast<std::uint64_t>(next - batch_base_);
+  if (retired != 0) special_[sp(uop::SpecialReg::kRhash)] = next[-1].rhash;
   result_.instructions += retired;
   result_.cycles += retired + batch_extra_;
   batch_base_ = next;
@@ -622,21 +655,12 @@ Cpu::FusedFlow Cpu::fused_step(const uop::TransEntry& e) {
     }
   }
   // IF. e.addr == CPC here: the block loop enters at CPC and every
-  // fall-through fetch set CPC = pc + 4.
-  const IfLatch f = fetch_and_hash(e.addr);
+  // fall-through fetch set CPC = pc + 4. A batched entry defers its RHASH
+  // fold to flush_batch.
+  const IfLatch f = Batched ? fetch_and_latch(e.addr) : fetch_and_hash(e.addr);
   charge_icache_stall(Batched ? batch_extra_ : result_.cycles);
   const std::uint32_t word = Batched ? f.word : past_id(f.word);
-  if (word != e.word) [[unlikely]] {
-    // Replay through the interpreter, whose program may read the IF temps.
-    // A batched entry first folds the prefix before it into result_ (this
-    // entry has not retired).
-    write_if_temps(e.addr, f);
-    if constexpr (Batched) {
-      ctx_.instr_addr = e.addr;
-      flush_batch(&e);
-    }
-    return tampered_entry(word);
-  }
+  if (word != e.word) [[unlikely]] return tampered_entry(e, f, word, Batched);
 
   if constexpr (!Batched) {
     special_[sp(uop::SpecialReg::kPpc)] = e.addr;
@@ -737,6 +761,7 @@ RunResult Cpu::run_threaded() {
   // predicate the batched prologue elides — recovery runs force the
   // unbatched handlers for every entry.
   const bool unbatched_only = config_.recovery.enabled && config_.monitoring;
+  const std::uint32_t rhash_reset = cic_ ? cic_->rhash_init() : 0;
   // A direct-edge block exit whose successor was not yet linked: the link is
   // installed right after the next lookup/translate produces that successor.
   uop::TranslatedBlock* link_from = nullptr;
@@ -753,13 +778,7 @@ RunResult Cpu::run_threaded() {
     }
 
     uop::TranslatedBlock* block = tcache_->lookup(addr);
-    if (block == nullptr) {
-      // Translation peeks words straight out of memory: no bus traffic, no
-      // I-cache fills, no hash folding. All architectural fetch effects
-      // happen per entry inside fused_step, through the real fetch path.
-      block = tcache_->translate(
-          addr, *spec_, *fused_, [this](std::uint32_t a) { return memory_.read32(a); });
-    }
+    if (block == nullptr) block = translate(addr);
     if (link_from != nullptr) {
       // chain() re-verifies that this block really is the recorded edge
       // target before installing the link.
@@ -776,9 +795,15 @@ RunResult Cpu::run_threaded() {
     // straight-line prefix: the watchdog must not trip inside it, no post-ID
     // fault may land on one of its dynamic indices, and recovery is off. The
     // terminator always runs unbatched, after the batch is flushed, and
-    // re-checks everything against the flushed counters.
+    // re-checks everything against the flushed counters. The deferred RHASH
+    // fold further needs the block to open its check region (STA clear,
+    // RHASH at its reset value; always so unmonitored, where neither is
+    // written): a block entered mid-region — after a syscall, a forced
+    // 64-entry tail, a tampered word or a snapshot restore — folds per fetch.
     const bool batched =
         !unbatched_only &&
+        special_[sp(uop::SpecialReg::kSta)] == 0 &&
+        special_[sp(uop::SpecialReg::kRhash)] == rhash_reset &&
         result_.instructions + block->straight_len <= config_.max_instructions &&
         (!post_id_fault_.has_value() || post_id_fault_->index < result_.instructions ||
          post_id_fault_->index >= result_.instructions + block->straight_len);

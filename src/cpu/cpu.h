@@ -42,13 +42,18 @@
 #include "uop/translate_cache.h"
 #include "uop/uop.h"
 
-// Once-per-dynamic-instruction helpers are forced inline into the engine
-// loops: GCC declines them at -O2 because they are called from every fused
-// handler instantiation, but the call overhead is the hot path.
+// Once-per-dynamic-instruction helpers, the fused handlers included, are
+// forced inline into the engine loops: GCC declines them at -O2 because they
+// are called from every fused handler instantiation, but the call overhead
+// is the hot path (left to its heuristics, which handlers stay inline moves
+// with every edit). Cold helpers of those loops (translation, tag-mismatch
+// replay) are forced out of line instead, to keep the loops compact.
 #if defined(__GNUC__)
 #define CICMON_HOT_INLINE __attribute__((always_inline)) inline
+#define CICMON_NOINLINE __attribute__((noinline))
 #else
 #define CICMON_HOT_INLINE inline
+#define CICMON_NOINLINE
 #endif
 
 namespace cicmon::cpu {
@@ -269,9 +274,11 @@ class Cpu final : private uop::Datapath {
 
   // IF of one dynamic instruction. fetch_and_hash is the canonical fetch
   // program as straight-line code: the real fetch path (bus, I-cache),
-  // IReg/CPC, and the Figure 3(b) block-start latch and RHASH fold; it
-  // returns what the program would leave in its temps, and write_if_temps
-  // stores them for interpreter programs that may read them.
+  // IReg/CPC, and the Figure 3(b) block-start latch (fetch_and_latch) and
+  // RHASH fold (fold_hash); it returns what the program would leave in its
+  // temps, and write_if_temps stores them for interpreter programs that may
+  // read them. The threaded engine's batched handlers run fetch_and_latch
+  // alone and leave the fold to flush_batch (region-granular folding).
   // run_fetch_stage is step()'s IF (straight-line when the fetch program is
   // canonical, interpreted otherwise). charge_icache_stall moves the fetch
   // path's refill stall onto `clock` (result_.cycles, or batch_extra_ while
@@ -282,6 +289,8 @@ class Cpu final : private uop::Datapath {
     std::uint32_t old_hash = 0;
     std::uint32_t new_hash = 0;
   };
+  CICMON_HOT_INLINE IfLatch fetch_and_latch(std::uint32_t pc);
+  CICMON_HOT_INLINE void fold_hash(IfLatch& latch);
   CICMON_HOT_INLINE IfLatch fetch_and_hash(std::uint32_t pc);
   CICMON_HOT_INLINE void write_if_temps(std::uint32_t pc, const IfLatch& latch);
   CICMON_HOT_INLINE void charge_icache_stall(std::uint64_t& clock);
@@ -319,18 +328,26 @@ class Cpu final : private uop::Datapath {
   enum class FusedFlow : std::uint8_t { kNext, kTaken, kFall, kRestart, kDone };
   // One fused handler per kind. Batched (straight-line kinds only) skips the
   // per-entry watchdog/recovery/post-ID checks (proven impossible by the
-  // per-block precheck in run_threaded) and defers the retire/cycle bump to
-  // flush_batch. The real fetch path and the tag compare are never skipped —
-  // tamper safety stays per dynamic instruction.
+  // per-block precheck in run_threaded) and defers the retire/cycle bump and
+  // the RHASH fold to flush_batch. The real fetch path, the STA latch and the
+  // tag compare are never skipped — tamper safety stays per dynamic
+  // instruction.
   template <uop::FusedKind K, bool Batched>
-  FusedFlow fused_step(const uop::TransEntry& entry);
+  CICMON_HOT_INLINE FusedFlow fused_step(const uop::TransEntry& entry);
   // Folds the batched straight-line prefix ending just before `next` into
   // result_ (one retired instruction and one base cycle per entry, plus the
-  // accumulated dynamic stalls in batch_extra_).
+  // accumulated dynamic stalls in batch_extra_) and into RHASH (the region
+  // fold precomputed in the last batched entry).
   CICMON_HOT_INLINE void flush_batch(const uop::TransEntry* next);
   // True cycle count after entry `e` retires, while its batch is unflushed.
   CICMON_HOT_INLINE std::uint64_t batched_cycles(const uop::TransEntry* e) const;
-  FusedFlow tampered_entry(std::uint32_t word);
+  // A tag mismatch at entry `e`, whose fetch left `latch` and carried
+  // `word`: replays the word through the interpreter. `batched` when `e` ran
+  // in a batch.
+  CICMON_NOINLINE FusedFlow tampered_entry(const uop::TransEntry& e, IfLatch latch,
+                                           std::uint32_t word, bool batched);
+  // Translates the block at text address `addr` into the translation cache.
+  CICMON_NOINLINE uop::TranslatedBlock* translate(std::uint32_t addr);
   void monitor_block_end();
   RunResult run_threaded();
 

@@ -34,14 +34,19 @@ LoadedImage preload_image(const CpuConfig& config, const casm_::Image& image) {
   return out;
 }
 
-void build_block_base(const casm_::Image& image, std::span<const std::uint32_t> seeds,
-                      LoadedImage* loaded) {
+void build_block_base(const CpuConfig& config, const casm_::Image& image,
+                      std::span<const std::uint32_t> seeds, LoadedImage* loaded) {
   support::check(loaded->pages != nullptr && loaded->spec != nullptr && loaded->fused != nullptr,
                  "build_block_base: LoadedImage is not preloaded");
+  support::check(loaded->spec->monitoring_embedded == config.monitoring,
+                 "build_block_base: LoadedImage monitoring does not match the configuration");
   mem::Memory text;
   text.set_base(loaded->pages);
+  const std::unique_ptr<hash::HashFunctionUnit> unit =
+      config.monitoring ? hash::make_hash_unit(config.cic.hash_kind, config.cic.hash_key)
+                        : nullptr;
   loaded->blocks = std::make_shared<const uop::BlockBase>(
-      image.text_base, image.text_end(), seeds, *loaded->spec, *loaded->fused,
+      image.text_base, image.text_end(), seeds, *loaded->spec, *loaded->fused, unit.get(),
       [&text](std::uint32_t a) { return text.read32(a); });
 }
 

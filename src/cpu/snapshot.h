@@ -75,10 +75,12 @@ LoadedImage preload_image(const CpuConfig& config, const casm_::Image& image);
 void build_spec(const CpuConfig& config, LoadedImage* loaded);
 
 // Translates `image`'s blocks reachable from `seeds` (uop::BlockBase) out of
-// `loaded`'s frozen pages into `loaded->blocks`. The seeds are text addresses
-// where execution enters; others are ignored.
-void build_block_base(const casm_::Image& image, std::span<const std::uint32_t> seeds,
-                      LoadedImage* loaded);
+// `loaded`'s frozen pages into `loaded->blocks`, folding each entry's region
+// RHASH with `config`'s HASHFU when it is monitored — the configuration the
+// LoadedImage was built for. The seeds are text addresses where execution
+// enters; others are ignored.
+void build_block_base(const CpuConfig& config, const casm_::Image& image,
+                      std::span<const std::uint32_t> seeds, LoadedImage* loaded);
 
 struct Snapshot {
   std::uint64_t instructions = 0;   // == result.instructions, hoisted for search

@@ -158,7 +158,7 @@ void CampaignRunner::build_block_base() {
       seeds.push_back(snapshot.special[static_cast<std::size_t>(uop::SpecialReg::kCpc)]);
     }
   }
-  cpu::build_block_base(image_, seeds, &loaded_);
+  cpu::build_block_base(config_, image_, seeds, &loaded_);
 }
 
 GoldenState CampaignRunner::export_golden() const {

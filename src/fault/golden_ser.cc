@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "cic/iht.h"
 #include "support/error.h"
 #include "support/wire.h"
 
@@ -244,6 +245,9 @@ cic::CheckerState get_checker(Cursor* in) {
     e.fill_order = in->u64();
     c.iht.entries.push_back(e);
   }
+  // No run leaves two valid entries on one range; the IHT's range index
+  // could not hold such a state, so it is corrupt, not merely unusual.
+  support::check(cic::ranges_unique(c.iht), "golden blob IHT has duplicate valid ranges");
   c.iht.stats = get_iht_stats(in);
   c.iht.use_clock = in->u64();
   c.iht.fill_clock = in->u64();

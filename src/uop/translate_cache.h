@@ -5,13 +5,23 @@
 // syscall, illegal/unmatched program) or at the text end / length cap. Each
 // entry is tagged with the word it was translated from — the same tamper-safe
 // keying as the per-word predecode cache. Translation peeks words straight
-// from memory (no bus, no I-cache, no hash: translation must be free of
-// architectural side effects); at execution time every dynamic instruction
+// from memory (no bus, no I-cache, no RHASH update: translation must be free
+// of architectural side effects); at execution time every dynamic instruction
 // still goes through the real fetch path, and the engine compares the fetched
 // (and possibly tampered) word against the entry tag. Any divergence — bus
 // tamper, cache-resident flip, memory rewrite, post-ID latch fault — misses
 // the tag, invalidates the block, executes that one instruction through the
 // interpreter on the word the pipeline actually carries, and retranslates.
+//
+// Region-granular RHASH folding: each entry also carries `rhash`, the RHASH
+// value right after its fetch when the check region opened at the block
+// start — the monitored machine's HASHFU folded over the tags, at
+// translation. When a block is entered at a region start, the engine's
+// batched straight-line run fetches and tag-checks every word but defers the
+// fold, then writes the last batched entry's `rhash` before the terminator
+// runs. Because each batched word equalled its tag, that is exactly the
+// per-fetch fold, for any hash kind; a word that missed its tag is folded
+// for real. Blocks entered mid-region fold per fetch.
 //
 // Superblock chaining: a block whose terminator has statically known
 // successors (direct branches: taken target and fall-through; jumps: target;
@@ -47,6 +57,7 @@
 #include <utility>
 #include <vector>
 
+#include "hash/hash_unit.h"
 #include "isa/instruction.h"
 #include "uop/threaded.h"
 #include "uop/uop.h"
@@ -73,11 +84,21 @@ struct TransEntry {
   std::uint8_t b = 0;
   std::uint8_t dst = 0;
   std::uint8_t hilo = 0;  // SpecialReg index for kHiLoRead / kHiLoWrite
-  std::uint32_t imm = 0;  // immediate / branch target / jump target / lui value
   isa::Hazards hazards;  // the cycle model's view of the instruction
+  std::uint32_t imm = 0;  // immediate / branch target / jump target / lui value
+  // RHASH right after this entry's fetch when its check region opened at the
+  // block start: the HASHFU's init() folded through every tag up to and
+  // including this one (0 when the block was translated without a HASHFU,
+  // i.e. unmonitored). The engine's batched straight-line runs write it
+  // instead of stepping the HASHFU per fetch — valid only because each
+  // batched fetch was checked equal to its tag.
+  std::uint32_t rhash = 0;
   isa::Instruction instr;            // for the interpreter fallback
   const InstrUops* program = nullptr;  // interpreter program (kGeneric, tamper)
 };
+// The threaded engine walks entries in order: keep one within a cache line
+// (the byte-wide fields are grouped so `rhash` fills padding; 56 bytes).
+static_assert(sizeof(TransEntry) <= 64, "TransEntry outgrew a cache line");
 
 struct TranslatedBlock {
   std::uint32_t start = 0;
@@ -115,15 +136,23 @@ TransEntry make_entry(std::uint32_t addr, std::uint32_t word, const IsaUopSpec& 
 void resolve_edges(TranslatedBlock* block, std::uint32_t text_base, std::uint32_t text_end);
 
 // Translates the block starting at the text address `addr`, reading words
-// through `peek` (which must be free of architectural side effects).
+// through `peek` (which must be free of architectural side effects). With a
+// HASHFU (`hashfu`, the monitored machine's unit; null when unmonitored),
+// each entry's `rhash` is the unit's region fold through its tag.
 template <typename PeekFn>
 TranslatedBlock translate_block(std::uint32_t addr, std::uint32_t text_base,
                                 std::uint32_t text_end, const IsaUopSpec& spec,
-                                const FusedTable& fused, PeekFn&& peek) {
+                                const FusedTable& fused,
+                                const hash::HashFunctionUnit* hashfu, PeekFn&& peek) {
   TranslatedBlock block;
   block.start = addr;
+  std::uint32_t rhash = hashfu != nullptr ? hashfu->init() : 0;
   for (std::uint32_t a = addr;; a += 4) {
     block.entries.push_back(make_entry(a, peek(a), spec, fused));
+    if (hashfu != nullptr) {
+      rhash = hashfu->step(rhash, block.entries.back().word);
+      block.entries.back().rhash = rhash;
+    }
     if (is_block_terminator(block.entries.back().kind)) break;
     if (a + 4 >= text_end || block.entries.size() >= kMaxBlockEntries) {
       // Force-terminate: the final entry runs through the interpreter,
@@ -138,8 +167,9 @@ TranslatedBlock translate_block(std::uint32_t addr, std::uint32_t text_base,
 }
 
 // The campaign-wide translated-block base: every block reachable from the
-// seeds, translated once from the frozen text and chained to each other,
-// then immutable. Reachable means closed over the static successor edges
+// seeds, translated once from the frozen text (with the campaign machine's
+// HASHFU, like any cache of that machine) and chained to each other, then
+// immutable. Reachable means closed over the static successor edges
 // plus the resume site after every linking jump (where its callee returns)
 // and every syscall (where the program continues).
 class BlockBase {
@@ -147,7 +177,7 @@ class BlockBase {
   template <typename PeekFn>
   BlockBase(std::uint32_t text_base, std::uint32_t text_end,
             std::span<const std::uint32_t> seeds, const IsaUopSpec& spec,
-            const FusedTable& fused, PeekFn&& peek)
+            const FusedTable& fused, const hash::HashFunctionUnit* hashfu, PeekFn&& peek)
       : text_base_(text_base), text_end_(text_end), slots_((text_end - text_base) / 4) {
     std::vector<std::uint32_t> work(seeds.begin(), seeds.end());
     while (!work.empty()) {
@@ -158,7 +188,7 @@ class BlockBase {
         continue;
       }
       auto block = std::make_unique<TranslatedBlock>(
-          translate_block(addr, text_base_, text_end_, spec, fused, peek));
+          translate_block(addr, text_base_, text_end_, spec, fused, hashfu, peek));
       block->shared = true;
       if (block->has_taken) work.push_back(block->taken_target);
       if (block->has_fall) work.push_back(block->fall_target);
@@ -218,14 +248,14 @@ class TranslationCache {
   // the precondition for following a chain link into it.
   bool live(const TranslatedBlock* block) const { return view_[index(block->start)] == block; }
 
-  // Translates the block starting at `addr`, reading text words through
-  // `peek` (which must be free of architectural side effects), caches it in
+  // Translates the block starting at `addr` (translate_block), caches it in
   // this overlay and returns it. `addr` must be a valid text address.
   template <typename PeekFn>
   TranslatedBlock* translate(std::uint32_t addr, const IsaUopSpec& spec,
-                             const FusedTable& fused, PeekFn&& peek) {
+                             const FusedTable& fused, const hash::HashFunctionUnit* hashfu,
+                             PeekFn&& peek) {
     auto block = std::make_unique<TranslatedBlock>(
-        translate_block(addr, text_base_, text_end_, spec, fused, peek));
+        translate_block(addr, text_base_, text_end_, spec, fused, hashfu, peek));
     ++stats_.translations;
     const std::size_t i = index(addr);
     // An owned block in this slot (it should have been invalidated first, but

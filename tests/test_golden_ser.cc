@@ -144,6 +144,28 @@ TEST(GoldenSer, TruncationTrailingGarbageAndKeySkewAreRejected) {
   EXPECT_THROW(decode_golden(blob, other), support::CicError);
 }
 
+TEST(GoldenSer, DuplicateValidIhtRangesAreRejectedAsCorrupt) {
+  // A well-formed, correctly checksummed blob whose snapshot IHT holds two
+  // valid entries on one (start, end) range: no run produces that state, and
+  // the IHT's range index could not represent it, so decode rejects it and
+  // the session or cache falls back to local derivation.
+  GoldenState state = decode_golden(golden_blob(), test_key());
+  ASSERT_FALSE(state.snapshots.empty());
+  ASSERT_TRUE(state.snapshots.back().checker.has_value());
+  std::vector<cic::IhtEntry>& entries = state.snapshots.back().checker->iht.entries;
+  ASSERT_GE(entries.size(), 2U);
+  const cic::IhtEntry entry{casm_::kTextBase, casm_::kTextBase + 8, 0x1234, true, 1, 1};
+  entries[0] = entry;
+  // One valid copy (plus an invalid one) is a state a run can reach.
+  entries[1] = entry;
+  entries[1].valid = false;
+  EXPECT_NO_THROW(decode_golden(encode_golden(state, test_key()), test_key()));
+  entries[1].valid = true;
+  const std::string blob = encode_golden(state, test_key());
+  ASSERT_TRUE(golden_blob_valid(blob, test_key()));  // intact bytes, corrupt meaning
+  EXPECT_THROW(decode_golden(blob, test_key()), support::CicError);
+}
+
 TEST(GoldenCache, ContentAddressedHitMissAndRoundTrip) {
   const std::string dir = make_test_dir("cache");
   // Empty cache: a miss, not an error.

@@ -2,9 +2,15 @@
 // pass (Figures 3 and 4), paper-notation rendering, and the interpreter.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <optional>
+
 #include "casm/builder.h"
 #include "cpu/cpu.h"
 #include "cpu/snapshot.h"
+#include "exp/sweep.h"
+#include "fault/campaign.h"
+#include "hash/hash_unit.h"
 #include "isa/instruction.h"
 #include "mem/fetch_path.h"
 #include "support/error.h"
@@ -652,9 +658,9 @@ TEST(TranslationCache, InvalidateSeversInboundAndOutboundLinks) {
   };
   const auto peek = [&](std::uint32_t a) { return words[(a - base) / 4]; };
   TranslationCache tc(base, base + 12);
-  TranslatedBlock* branch = tc.translate(base, spec, fused, peek);
-  TranslatedBlock* target = tc.translate(base + 8, spec, fused, peek);
-  TranslatedBlock* skipped = tc.translate(base + 4, spec, fused, peek);
+  TranslatedBlock* branch = tc.translate(base, spec, fused, nullptr, peek);
+  TranslatedBlock* target = tc.translate(base + 8, spec, fused, nullptr, peek);
+  TranslatedBlock* skipped = tc.translate(base + 4, spec, fused, nullptr, peek);
   ASSERT_TRUE(branch->has_taken);
   EXPECT_EQ(branch->taken_target, base + 8);
   ASSERT_TRUE(branch->has_fall);
@@ -692,7 +698,7 @@ TEST(TranslationCache, SelfLoopChainSeversCleanly) {
       isa::encode_i(isa::Mnemonic::kBeq, 0, 0, 0xFFFF);  // beq $0, $0, .
   TranslationCache tc(base, base + 8);
   TranslatedBlock* loop =
-      tc.translate(base, spec, fused, [&](std::uint32_t) { return word; });
+      tc.translate(base, spec, fused, nullptr, [&](std::uint32_t) { return word; });
   ASSERT_TRUE(loop->has_taken);
   EXPECT_EQ(loop->taken_target, base);
   tc.chain(loop, /*taken_edge=*/true, loop);
@@ -736,7 +742,7 @@ TEST(BlockBase, ClosesOverStaticEdgesAndPreChains) {
   const IsaUopSpec spec = build_isa_uops();
   const FusedTable fused = build_fused_table(spec);
   const std::uint32_t seeds[] = {image.entry};
-  const BlockBase base(image.text_base, image.text_end(), seeds, spec, fused,
+  const BlockBase base(image.text_base, image.text_end(), seeds, spec, fused, nullptr,
                        [&](std::uint32_t a) { return image.word_at(a); });
   // Seeded at the entry, the closure reaches the loop body through the
   // bnez's taken edge, and the self-check block through its fall edge.
@@ -760,7 +766,8 @@ TEST(BlockBase, OverlaysKeepInvalidationsToThemselvesAndNeverWriteTheBase) {
   const auto peek = [&](std::uint32_t a) { return image.word_at(a); };
   const std::uint32_t seeds[] = {image.entry};
   const auto base =
-      std::make_shared<const BlockBase>(image.text_base, image.text_end(), seeds, spec, fused, peek);
+      std::make_shared<const BlockBase>(image.text_base, image.text_end(), seeds, spec,
+                                        fused, nullptr, peek);
   const std::vector<std::uint32_t> before = base_fingerprint(*base);
 
   TranslationCache a(image.text_base, image.text_end(), base);
@@ -785,7 +792,7 @@ TEST(BlockBase, OverlaysKeepInvalidationsToThemselvesAndNeverWriteTheBase) {
 
   // Retranslate into a's overlay and try to chain both ways: a base `from`
   // is never written, and an owned block may link into the live base.
-  TranslatedBlock* fresh = a.translate(kSumLoopBody, spec, fused, peek);
+  TranslatedBlock* fresh = a.translate(kSumLoopBody, spec, fused, nullptr, peek);
   EXPECT_FALSE(fresh->shared);
   EXPECT_EQ(a.lookup(kSumLoopBody), fresh);
   EXPECT_TRUE(a.live(fresh));
@@ -800,7 +807,7 @@ TEST(BlockBase, OverlaysKeepInvalidationsToThemselvesAndNeverWriteTheBase) {
   // Overlay b runs its own cycle on the same blocks, then a drops its owned
   // block (severing its links into the base) — the base never moves.
   b.invalidate(image.entry);
-  TranslatedBlock* b_entry = b.translate(image.entry, spec, fused, peek);
+  TranslatedBlock* b_entry = b.translate(image.entry, spec, fused, nullptr, peek);
   b.chain(b_entry, /*taken_edge=*/true, b.lookup(kSumLoopBody));
   EXPECT_EQ(b_entry->taken, body);
   a.invalidate(kSumLoopBody);
@@ -820,17 +827,18 @@ TEST(BlockBase, DeadLinkIsReplacedOnlyByTheRetranslatedSuccessor) {
   const auto peek = [&](std::uint32_t a) { return image.word_at(a); };
   const std::uint32_t seeds[] = {image.entry};
   const auto base =
-      std::make_shared<const BlockBase>(image.text_base, image.text_end(), seeds, spec, fused, peek);
+      std::make_shared<const BlockBase>(image.text_base, image.text_end(), seeds, spec,
+                                        fused, nullptr, peek);
   TranslationCache tc(image.text_base, image.text_end(), base);
   TranslatedBlock* body = tc.lookup(kSumLoopBody);
   // A mid-body block (as after a tag-mismatch replay of the addu) links into
   // the base loop body.
-  TranslatedBlock* tail = tc.translate(kSumLoopBody + 4, spec, fused, peek);
+  TranslatedBlock* tail = tc.translate(kSumLoopBody + 4, spec, fused, nullptr, peek);
   tc.chain(tail, /*taken_edge=*/true, body);
   ASSERT_EQ(tail->taken, body);
   tc.invalidate(kSumLoopBody);
   EXPECT_FALSE(tc.live(tail->taken));
-  TranslatedBlock* fresh = tc.translate(kSumLoopBody, spec, fused, peek);
+  TranslatedBlock* fresh = tc.translate(kSumLoopBody, spec, fused, nullptr, peek);
   tc.chain(tail, /*taken_edge=*/true, fresh);
   EXPECT_EQ(tail->taken, fresh);
   ASSERT_EQ(fresh->preds.size(), 1U);
@@ -864,7 +872,7 @@ TEST(BlockBase, TextRewriteInBaseBlockReplaysAndNeverFollowsDeadLinks) {
 
   cpu::LoadedImage loaded = cpu::preload_image(unmonitored_threaded(), image);
   const std::uint32_t seeds[] = {image.entry};
-  cpu::build_block_base(image, seeds, &loaded);
+  cpu::build_block_base(unmonitored_threaded(), image, seeds, &loaded);
   const std::vector<std::uint32_t> before = base_fingerprint(*loaded.blocks);
   cpu::Cpu trial(unmonitored_threaded(), image, &loaded);
   trial.memory().write32(kSumLoopBody, trial.memory().read32(kSumLoopBody) ^ mask);
@@ -890,7 +898,7 @@ TEST(BlockBase, MonitoredTrialsOnOneBaseMatchTheSwitchEngine) {
   const casm_::Image image = checked_sum_loop();
   cpu::LoadedImage loaded = cpu::preload_image(engine_config(cpu::Engine::kThreaded), image);
   const std::uint32_t seeds[] = {image.entry};
-  cpu::build_block_base(image, seeds, &loaded);
+  cpu::build_block_base(engine_config(cpu::Engine::kThreaded), image, seeds, &loaded);
   const std::vector<std::uint32_t> before = base_fingerprint(*loaded.blocks);
   for (int fault = 0; fault < 3; ++fault) {
     SCOPED_TRACE("fault " + std::to_string(fault));
@@ -972,7 +980,7 @@ TEST(ThreadedBoundary, KernelTranslatesToEveryFusedKind) {
   bool seen[kNumFusedKinds] = {};
   for (std::uint32_t addr = image.text_base; addr < image.text_end(); addr += 4) {
     const TranslatedBlock* block = tc.translate(
-        addr, spec, fused, [&](std::uint32_t a) { return image.word_at(a); });
+        addr, spec, fused, nullptr, [&](std::uint32_t a) { return image.word_at(a); });
     for (const TransEntry& e : block->entries) seen[static_cast<unsigned>(e.kind)] = true;
   }
   for (unsigned k = 0; k < kNumFusedKinds; ++k) EXPECT_TRUE(seen[k]) << "fused kind " << k;
@@ -1048,6 +1056,139 @@ TEST(ThreadedBoundary, RecoveryRunsMatchInterpreter) {
   EXPECT_EQ(tampered[0].reason, cpu::ExitReason::kIllegalInstruction);
   EXPECT_EQ(tampered[0].recoveries, clean[0].recoveries + 1);
   EXPECT_EQ(tampered[0].console, clean[0].console);
+}
+
+// --- Region-granular RHASH folding -------------------------------------------
+//
+// A block entered at a check-region start (STA clear, RHASH at its reset
+// value) runs its straight-line prefix batched and takes RHASH from the
+// entries' translation-time folds instead of stepping the HASHFU per fetch.
+// Blocks entered mid-region fold per fetch. Every hash kind — including the
+// keyed ROTXOR, whose reset value is the non-zero process key — must keep the
+// switch engine's results exactly.
+
+constexpr std::uint32_t kFoldKey = 0x5EED1234;
+
+cpu::CpuConfig fold_config(cpu::Engine engine, hash::HashKind kind) {
+  cpu::CpuConfig config = engine_config(engine);  // no I-cache: one bus transfer per fetch
+  config.cic.hash_kind = kind;
+  config.cic.hash_key = kFoldKey;
+  config.max_instructions = 5000;  // a flip can send the program into a loop
+  return config;
+}
+
+// Flips the same bit in the words of two fetches. Two flips of one bit in
+// one check region cancel in an XOR hash: the region still matches its IHT
+// record, but only if both tampered words were folded into RHASH.
+class PairedTamper : public mem::BusTamper {
+ public:
+  PairedTamper(std::uint64_t first, std::uint64_t second, std::uint32_t mask)
+      : first_(first), second_(second), mask_(mask) {}
+  std::uint32_t on_transfer(std::uint32_t, std::uint32_t word) override {
+    const std::uint64_t n = transfers_++;
+    return n == first_ || n == second_ ? word ^ mask_ : word;
+  }
+
+ private:
+  std::uint64_t transfers_ = 0;
+  std::uint64_t first_;
+  std::uint64_t second_;
+  std::uint32_t mask_;
+};
+
+// {switch, threaded} results for `image` under `kind`, with the bit flip
+// `tamper` describes, if any, on the bus.
+std::array<cpu::RunResult, 2> fold_runs(const casm_::Image& image, hash::HashKind kind,
+                                        std::optional<PairedTamper> tamper = std::nullopt) {
+  std::array<cpu::RunResult, 2> results;
+  for (const cpu::Engine engine : {cpu::Engine::kSwitch, cpu::Engine::kThreaded}) {
+    cpu::Cpu cpu(fold_config(engine, kind), image);
+    std::optional<PairedTamper> bus = tamper;  // fresh transfer count per run
+    if (bus.has_value()) cpu.fetch_path().set_bus_tamper(&*bus);
+    results[engine == cpu::Engine::kSwitch ? 0 : 1] = cpu.run();
+  }
+  return results;
+}
+
+TEST(RegionFold, EntriesCarryTheRegionFoldOfTheirTags) {
+  const casm_::Image image = checked_sum_loop();
+  IsaUopSpec spec = build_isa_uops();
+  embed_monitoring(&spec);
+  const FusedTable fused = build_fused_table(spec);
+  const auto peek = [&](std::uint32_t a) { return image.word_at(a); };
+  for (const hash::HashKind kind : hash::all_hash_kinds()) {
+    SCOPED_TRACE(std::string(hash::hash_kind_name(kind)));
+    const auto unit = hash::make_hash_unit(kind, kFoldKey);
+    const TranslatedBlock block =
+        translate_block(image.entry, image.text_base, image.text_end(), spec, fused, unit.get(), peek);
+    ASSERT_EQ(block.entries.size(), 5U);  // li, li, addu, addiu, bnez
+    std::uint32_t rhash = unit->init();
+    for (const TransEntry& e : block.entries) {
+      rhash = unit->step(rhash, e.word);
+      EXPECT_EQ(e.rhash, rhash);
+    }
+  }
+  // Without a HASHFU (an unmonitored machine) nothing is folded.
+  const TranslatedBlock plain =
+      translate_block(image.entry, image.text_base, image.text_end(), spec, fused, nullptr, peek);
+  for (const TransEntry& e : plain.entries) EXPECT_EQ(e.rhash, 0U);
+}
+
+TEST(RegionFold, CleanRunsMatchTheOracleForEveryHashKind) {
+  for (const hash::HashKind kind : hash::all_hash_kinds()) {
+    SCOPED_TRACE(std::string(hash::hash_kind_name(kind)));
+    const auto loop = fold_runs(checked_sum_loop(), kind);
+    EXPECT_EQ(loop[0].reason, cpu::ExitReason::kExit);
+    EXPECT_EQ(loop[0], loop[1]);
+    // Its print syscall and its 64-entry forced tail make the kernel enter
+    // blocks mid-region (STA set), which fold per fetch.
+    const auto kernel = fold_runs(every_kind_kernel(), kind);
+    EXPECT_EQ(kernel[0].reason, cpu::ExitReason::kIllegalInstruction);
+    EXPECT_FALSE(kernel[0].console.empty());
+    EXPECT_EQ(kernel[0], kernel[1]);
+  }
+}
+
+TEST(RegionFold, BusFlipOnEveryFetchMatchesTheOracleForEveryHashKind) {
+  // One flip per run at every fetch of the clean run, then the same bit
+  // flipped at two fetches one and two apart. In the sum loop the entry
+  // block (li, li, addu, addiu, bnez) opens the first region and the loop
+  // body (addu, addiu, bnez) reopens one per iteration, so fetches 0, 2 and
+  // 4 — and 5, 6 and 7 — hit the first, a middle and the terminator entry of
+  // a batched block. In the kernel, flips also land in the blocks entered
+  // mid-region after the syscall and after the forced tail. Paired flips in
+  // one region cancel under XOR, so a tampered word missing from RHASH would
+  // turn the oracle's escape into a detection.
+  constexpr std::uint64_t kNone = ~std::uint64_t{0};
+  for (const casm_::Image& image : {checked_sum_loop(), every_kind_kernel()}) {
+    for (const hash::HashKind kind : hash::all_hash_kinds()) {
+      SCOPED_TRACE(std::string(hash::hash_kind_name(kind)));
+      const std::uint64_t fetches = fold_runs(image, kind)[0].instructions;
+      for (std::uint64_t flip = 0; flip <= fetches; ++flip) {
+        for (const std::uint64_t second : {kNone, flip + 1, flip + 2}) {
+          const auto runs = fold_runs(image, kind, PairedTamper(flip, second, 1U << 11));
+          ASSERT_EQ(runs[0], runs[1]) << "flips at fetches " << flip << ", " << second;
+        }
+      }
+    }
+  }
+}
+
+TEST(RegionFold, WarmCampaignTrialsMatchTheOracleForNonXorHashes) {
+  // Campaign trials overlay a block base folded at translation with the
+  // campaign machine's HASHFU, and restored trials resume mid-region.
+  const casm_::Image image = checked_sum_loop();
+  for (const hash::HashKind kind : {hash::HashKind::kRotXorKeyed, hash::HashKind::kCrc32}) {
+    SCOPED_TRACE(std::string(hash::hash_kind_name(kind)));
+    fault::CampaignRunner oracle(image, fold_config(cpu::Engine::kSwitch, kind));
+    fault::CampaignRunner warm(image, fold_config(cpu::Engine::kThreaded, kind));
+    for (const fault::FaultSite site : {fault::FaultSite::kMemoryText, fault::FaultSite::kFetchBus,
+                                        fault::FaultSite::kPostIdLatch}) {
+      EXPECT_EQ(exp::run_all(oracle.sweep(site, 1, 60, 13), 1),
+                exp::run_all(warm.sweep(site, 1, 60, 13), 1))
+          << fault::fault_site_name(site);
+    }
+  }
 }
 
 }  // namespace
