@@ -44,9 +44,7 @@ run() {
 }
 
 # Table/figure benches take the scale as their single positional argument.
-run table1_cycle_overhead "${scale}"
-run fig6_miss_rate "${scale}"
-run workload_blocks "${scale}"
+# Table 1, Figure 6 and the block counts are the cicmon subcommands below.
 run fault_detection "${scale}"
 run ablation_hash "${scale}"
 run ablation_os_cost "${scale}"

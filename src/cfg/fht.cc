@@ -53,9 +53,10 @@ std::optional<std::uint32_t> FullHashTable::expected_hash(std::uint32_t start,
 }
 
 std::vector<std::uint8_t> FullHashTable::serialize() const {
-  std::vector<std::uint8_t> out;
+  // The magic is the initial contents: inserting it after reserve() trips a
+  // GCC 12 -Wstringop-overflow false positive.
+  std::vector<std::uint8_t> out(std::begin(kMagic), std::end(kMagic));
   out.reserve(8 + records_.size() * 12);
-  out.insert(out.end(), std::begin(kMagic), std::end(kMagic));
   put_u32(&out, static_cast<std::uint32_t>(records_.size()));
   for (const CheckRegion& r : records_) {
     put_u32(&out, r.start);

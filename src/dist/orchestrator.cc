@@ -196,8 +196,7 @@ void run_exec(RunState& state, const WorkerCommand& base, Transport& transport) 
       }
       ++state.result.launched;
       RunningExec slot{std::move(item), std::move(child),
-                       deadline_after(state.config.timeout_seconds)};
-      slot.started = Clock::now();
+                       deadline_after(state.config.timeout_seconds), Clock::now()};
       slot.worker_id = state.result.launched;
       slot.assign_t_us = obs::trace_now_us();
       slot.queue_wait_ms = ms_since(slot.item.enqueued_at);

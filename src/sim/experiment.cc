@@ -256,44 +256,28 @@ std::vector<BlockStats> blocks_rows(const std::vector<exp::CellResult>& cells,
   return rows;
 }
 
-std::vector<BlockStats> characterize_all_blocks(const std::vector<unsigned>& capacities,
-                                                double scale, unsigned jobs) {
-  return blocks_rows(exp::run_all(blocks_sweep(capacities, scale), jobs), capacities);
-}
-
 // --- Throughput bench ---------------------------------------------------
 
-exp::SweepSpec bench_sweep(double scale, unsigned best_of) {
+exp::SweepSpec bench_sweep(double scale) {
   const auto infos = workloads::all_workloads();
-  if (best_of == 0) best_of = 1;
   exp::SweepSpec spec;
   spec.sweep = "bench";
-  spec.params = {{"scale", exp::fmt_f64(scale)}, {"best_of", std::to_string(best_of)}};
+  spec.params = {{"scale", exp::fmt_f64(scale)}};
   spec.cells = infos.size() * 2;
   spec.cell_key = [infos](std::size_t cell) {
     return std::string(infos[cell / 2].name) + "/" + (cell % 2 == 0 ? "baseline" : "cic16");
   };
-  spec.run_cell = [infos, scale, best_of](std::size_t cell) {
+  spec.run_cell = [infos, scale](std::size_t cell) {
     cpu::CpuConfig config;
     if (cell % 2 == 1) {
       config.monitoring = true;
       config.cic.iht_entries = 16;
     }
-    // Best-of-N: repeat the identical run and keep the fastest wall clock —
-    // the standard defense against first-run cache/page-fault noise that the
-    // BENCH_*.json methodology used to script with ad-hoc shell loops. The
-    // simulated results are deterministic, so every repeat retires the same
-    // instruction/cycle counts; only the wall time varies.
-    cpu::RunResult run;
-    double wall_ms = 0.0;
-    for (unsigned attempt = 0; attempt < best_of; ++attempt) {
-      const auto start = std::chrono::steady_clock::now();
-      run = run_workload(infos[cell / 2].name, config, scale);
-      const double attempt_ms =
-          std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
-              .count();
-      if (attempt == 0 || attempt_ms < wall_ms) wall_ms = attempt_ms;
-    }
+    const auto start = std::chrono::steady_clock::now();
+    const cpu::RunResult run = run_workload(infos[cell / 2].name, config, scale);
+    const double wall_ms =
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+            .count();
     static const obs::TimerId k_cell_ms = obs::timer("bench.cell_ms");
     static const obs::TimerId k_mips = obs::timer("bench.run_mips");
     obs::record(k_cell_ms, wall_ms);

@@ -86,16 +86,12 @@ BlockStats characterize_blocks(std::string_view workload,
 exp::SweepSpec blocks_sweep(std::vector<unsigned> capacities, double scale = 1.0);
 std::vector<BlockStats> blocks_rows(const std::vector<exp::CellResult>& cells,
                                     const std::vector<unsigned>& capacities);
-std::vector<BlockStats> characterize_all_blocks(const std::vector<unsigned>& capacities,
-                                                double scale = 1.0, unsigned jobs = 0);
 
 // --- Simulator throughput bench ------------------------------------------
 // Grid: two cells per workload (baseline, CIC16 monitored), u64 =
 // {instructions, cycles}, f64 = {host wall ms}. The u64 slots are simulated
 // results and deterministic; the wall clock is a host measurement and the
-// one payload the byte-identical-merge guarantee does not cover. `best_of`
-// repeats each cell's identical run N times and keeps the fastest wall clock
-// (simulated payloads are unaffected).
-exp::SweepSpec bench_sweep(double scale = 1.0, unsigned best_of = 1);
+// one payload the byte-identical-merge guarantee does not cover.
+exp::SweepSpec bench_sweep(double scale = 1.0);
 
 }  // namespace cicmon::sim

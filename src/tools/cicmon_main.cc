@@ -2,19 +2,19 @@
 //
 // One entry point for CI and users over the sweep engine (exp/sweep.h):
 //
-//   cicmon table1    [--scale S] [--jobs N]
-//   cicmon fig6      [--scale S] [--jobs N] [--entries 1,8,16,32]
-//   cicmon blocks    [--scale S] [--jobs N] [--capacities 1,8,16,32]
-//   cicmon bench     [--scale S] [--jobs N] [--json PATH]
-//   cicmon campaign  [--workload W] [--site NAME] [--bits B] [--trials N]
-//                    [--seed X] [--scale S] [--jobs N] [--monitor on|off]
-//   cicmon dispatch  <table1|fig6|blocks|bench|campaign> [sweep options]
-//                    [--workers K] [--shards N] [--transport TMPL]
-//                    [--retries R] [--timeout SEC] [--dir DIR]
-//                    [--exec-per-shard] [--dry-run]
-//   cicmon worker    <table1|fig6|blocks|bench|campaign> [sweep options]
-//   cicmon merge     SHARD.json|DIR [SHARD.json|DIR ...]
-//   cicmon workloads
+//   cicmon <table1|fig6|blocks|bench|campaign> [options]   run one sweep
+//   cicmon dispatch <sweep> [options]   the same sweep over worker processes
+//   cicmon worker <sweep> [options]     dispatch's session server
+//   cicmon merge SHARD.json|DIR ...     aggregate shard artifacts
+//   cicmon report TRACE.jsonl           render a --trace event log
+//   cicmon workloads                    list the benchmark kernels
+//
+// Every flag is declared once, in kFlagTable: its name and metavar, its help
+// text and help section, a strict typed value parser, and, for the flags
+// dispatch forwards to its workers, the sweeps it reaches, its canonical
+// value and its field in the campaign golden-state key. The parser, the help
+// screen (`cicmon help`), the did-you-mean suggestions, worker_sweep_flags
+// and campaign_golden_key are loops over that table.
 //
 // Every sweep subcommand also takes `--shard I/N [--out PATH] [--force]`,
 // which runs only the cells owned by shard I of N and persists them as a
@@ -47,12 +47,13 @@
 // meant to be invoked by hand (its stdout speaks the wire protocol).
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -88,6 +89,8 @@ std::string g_command;       // argv[1], recorded in trace/metrics headers
 std::string g_metrics_mode;  // "" (off), "json", or "table"
 std::string g_metrics_out;   // metrics sidecar path; "" = stderr
 
+// The parsed command line. Defaults live here; what each field means and
+// how it is spelled on the command line live in kFlagTable.
 struct Options {
   double scale = 1.0;
   unsigned jobs = 0;  // 0 = resolve CICMON_JOBS / hardware concurrency
@@ -99,160 +102,77 @@ struct Options {
   bool monitor = true;
   std::vector<unsigned> entries{1, 8, 16, 32};
   std::vector<unsigned> capacities{1, 8, 16, 32};
-  std::string json_path;   // bench: also write machine-readable results here
+  std::string json_path;
   std::string shard_text;  // "--shard I/N"; empty = run every cell + render
   std::string out_path;    // shard artifact path; defaulted when empty
-  bool force = false;      // rerun a shard even when its artifact matches
+  bool force = false;
   std::vector<std::string> inputs;  // positional arguments (merge artifacts)
   // dispatch-only knobs (see dist::DispatchConfig for the semantics).
-  unsigned workers = 0;        // concurrent worker processes; 0 = nproc
-  unsigned dispatch_shards = 0;  // work items; 0 = auto (4x workers)
-  unsigned retries = 2;        // extra worker spawns per shard after a failure
-  double timeout = 300.0;      // per-shard wall-clock limit in seconds; 0 = none
-  std::string transport;       // {cmd}/{shard}/{out} template; empty = local
-  std::string dir;             // shard artifact directory; defaulted when empty
-  bool quiet = false;          // suppress dispatch progress/ETA on stderr
-  bool dry_run = false;        // print the dispatch plan, launch nothing
-  bool exec_per_shard = false; // force the exec-per-shard fallback path
-  // Engine selection, applied to the process-wide CpuConfig defaults at parse
-  // time (the sweep builders construct configs inside per-cell lambdas).
-  // Empty = build-type default; kept as text so dispatch can forward the
-  // explicit choice to its workers.
+  unsigned workers = 0;          // 0 = nproc
+  unsigned dispatch_shards = 0;  // 0 = auto (4x workers)
+  unsigned retries = 2;
+  double timeout = 300.0;  // seconds; 0 = none
+  std::string transport;   // empty = local
+  std::string dir;         // defaulted when empty
+  bool quiet = false;
+  bool dry_run = false;
+  bool exec_per_shard = false;
+  // --engine as given (empty = build-type default), kept as text so dispatch
+  // can forward an explicit choice; the choice itself is applied to the
+  // process-wide CpuConfig defaults at parse time.
   std::string engine_flag;
-  // bench: repeat each cell's identical run N times, keep the fastest wall
-  // clock (simulated results unchanged). Replaces the ad-hoc shell loops the
-  // BENCH_*.json methodology used to script.
-  unsigned best_of = 1;
-  // Campaign checkpointing (fault::CheckpointConfig): a pure execution
-  // strategy like the engine choice — byte-identical results on or off, at
-  // any stride — so it is forwarded to dispatch workers but never becomes a
-  // sweep parameter.
+  // Execution strategies (fault::CheckpointConfig, fault/golden_ser.h):
+  // byte-identical results either way, enforced by tests.
   bool checkpoints = true;
   std::uint64_t checkpoint_stride = 0;  // 0 = automatic schedule
-  // Campaign golden-state reuse (fault/golden_ser.h): a content-addressed
-  // on-disk cache, and whether dispatch offers its golden state to session
-  // workers over the wire. Both are execution strategies — byte-identical
-  // results on or off, enforced by tests.
-  std::string golden_cache;  // --golden-cache DIR; empty = no disk cache
-  bool ship_golden = true;   // --ship-golden on|off (dispatch only)
+  std::string golden_cache;             // empty = no disk cache
+  bool ship_golden = true;
 };
 
-[[noreturn]] void usage(int code) {
-  std::fputs(
-      "usage: cicmon <command> [options]\n"
-      "\n"
-      "commands:\n"
-      "  table1      Table 1: cycle-count overhead (baseline vs CIC8/CIC16)\n"
-      "  fig6        Figure 6: IHT miss rate vs table size\n"
-      "  blocks      Section 6.1: executed-block counts and LRU locality\n"
-      "  bench       simulator throughput over all workloads\n"
-      "  campaign    random fault-injection campaign\n"
-      "  dispatch    scale a sweep out over worker processes or hosts\n"
-      "  worker      persistent dispatch worker (serves shards over stdin/stdout;\n"
-      "              spawned by dispatch, not meant for interactive use)\n"
-      "  merge       aggregate cicmon-shard-v1 artifacts into the full output\n"
-      "  report      render a cicmon-trace-v1 event log (--trace output) as\n"
-      "              per-phase/per-worker breakdown tables\n"
-      "  workloads   list the benchmark kernels\n"
-      "\n"
-      "telemetry (every command; see docs/telemetry.md):\n"
-      "  --trace FILE     append cicmon-trace-v1 JSONL events (spans, instants,\n"
-      "                   final counter snapshot) to FILE; never touches stdout\n"
-      "  --metrics json|table\n"
-      "                   after the command, emit a cicmon-metrics-v1 summary of\n"
-      "                   every counter/timer to stderr\n"
-      "  --metrics-out PATH\n"
-      "                   write the --metrics summary to PATH instead of stderr\n"
-      "\n"
-      "options:\n"
-      "  --scale S        workload scale factor (default 1.0)\n"
-      "  --jobs N         worker threads; 0 = CICMON_JOBS env or hardware\n"
-      "                   concurrency, 1 = serial (default 0)\n"
-      "  --entries A,B,.. IHT sizes for fig6 (default 1,8,16,32)\n"
-      "  --capacities A,B,.. LRU table sizes for blocks (default 1,8,16,32)\n"
-      "  --workload W     campaign workload (default dijkstra)\n"
-      "  --site NAME      fault site: memory-text, fetch-bus, fetch-bus-paired,\n"
-      "                   icache-line, post-id-latch (default fetch-bus)\n"
-      "  --bits B         flipped bits per fault (default 1)\n"
-      "  --trials N       campaign trials (default 1000)\n"
-      "  --seed X         campaign seed (default 2026)\n"
-      "  --monitor on|off campaign machine has the CIC (default on)\n"
-      "  --checkpoints on|off\n"
-      "                   campaign: fast-forward each trial by restoring the\n"
-      "                   nearest golden-run snapshot before its trigger instead\n"
-      "                   of re-simulating the clean prefix; never changes a\n"
-      "                   trial outcome (default on; off exists for A/B checks\n"
-      "                   and is forced under recovery mode)\n"
-      "  --checkpoint-stride N\n"
-      "                   campaign snapshot spacing in retired instructions;\n"
-      "                   0 = automatic bounded-memory schedule (default 0)\n"
-      "  --golden-cache DIR\n"
-      "                   campaign: cache the derived golden state (image,\n"
-      "                   snapshots, golden result) on disk, keyed by a\n"
-      "                   canonical hash of the campaign parameters; later\n"
-      "                   runs with the same parameters load it instead of\n"
-      "                   re-deriving; never changes any output\n"
-      "  --json PATH      bench: also write results as JSON to PATH;\n"
-      "                   campaign (direct or dispatched): write a campaign\n"
-      "                   section with the trials/sec trajectory metric (the\n"
-      "                   dispatched form adds the fleet telemetry) instead\n"
-      "  --engine E       execution engine: 'threaded' (fused superinstruction\n"
-      "                   handlers over chained blocks behind a tamper-safe\n"
-      "                   translation cache) or 'switch' (the per-uop predecode\n"
-      "                   interpreter, the reference oracle); both produce\n"
-      "                   byte-identical results (default: threaded in Release\n"
-      "                   builds, switch in Debug builds)\n"
-      "  --best-of N      bench: repeat each cell's identical run N times and\n"
-      "                   keep the fastest wall clock (default 1; simulated\n"
-      "                   instruction/cycle payloads are unaffected)\n"
-      "\n"
-      "sharding (table1/fig6/blocks/bench/campaign):\n"
-      "  --shard I/N      run only the cells owned by shard I of N and write\n"
-      "                   a cicmon-shard-v1 partial artifact, not the table\n"
-      "  --out PATH       artifact path (default cicmon-<sweep>-shard-IofN.json);\n"
-      "                   a matching existing artifact is reused (resume)\n"
-      "  --force          rerun the shard even when its artifact matches\n"
-      "\n"
-      "`cicmon merge s1.json s2.json ...` needs every shard of one run and\n"
-      "prints output byte-identical to the unsharded invocation. A directory\n"
-      "argument is scanned for *.shard.json artifacts.\n"
-      "\n"
-      "dispatch (cicmon dispatch <table1|fig6|blocks|bench|campaign> ...):\n"
-      "  --workers K      concurrent worker processes (default: hardware\n"
-      "                   concurrency)\n"
-      "  --shards N       work items; over-decomposed for load balancing\n"
-      "                   (default 4x workers, capped at the cell count)\n"
-      "  --transport T    launch workers through a shell template with\n"
-      "                   {cmd}/{shard}/{out} placeholders, e.g.\n"
-      "                   'ssh build-02 cd /repo && {cmd}' (default: local\n"
-      "                   subprocesses); a template using only {cmd} forwards\n"
-      "                   stdio and still gets persistent sessions + golden\n"
-      "                   shipping; {shard}/{out} force exec-per-shard\n"
-      "  --retries R      extra attempts per shard after a failure (default 2)\n"
-      "  --timeout SEC    per-shard wall-clock limit; 0 = none (default 300)\n"
-      "  --dir DIR        shard artifact directory (default cicmon-dispatch);\n"
-      "                   valid artifacts already there are reused (resume)\n"
-      "  --quiet          suppress the live progress/ETA lines on stderr\n"
-      "  --exec-per-shard spawn one process per shard instead of persistent\n"
-      "                   worker sessions (sessions are the default whenever\n"
-      "                   the transport forwards stdio)\n"
-      "  --ship-golden on|off\n"
-      "                   campaign: offer the orchestrator's derived golden\n"
-      "                   state to each session worker over the wire so the\n"
-      "                   worker skips its own golden run (default on; off\n"
-      "                   exists for A/B byte-identity checks)\n"
-      "  --dry-run        print the planned shard grid, worker commands, and\n"
-      "                   session mode, then exit without launching anything\n"
-      "  --jobs under dispatch sets each worker's thread count\n"
-      "                   (default: hardware concurrency / workers)\n"
-      "\n"
-      "dispatch stdout is byte-identical to the direct invocation of the\n"
-      "same sweep, at any worker/shard count, in either session mode, and\n"
-      "across worker kills and retries. Incremental merge progress streams\n"
-      "to stderr as shards land.\n",
-      code == 0 ? stdout : stderr);
-  std::exit(code);
+[[noreturn]] void usage(int code);
+
+// --- Strict value grammar -------------------------------------------------
+//
+// Each helper accepts the whole token or exits 2 with the usage screen: no
+// trailing text, no silent zero for garbage, no wrap-around of a negative.
+
+std::uint64_t u64_arg(const char* text, std::uint64_t lo = 0,
+                      std::uint64_t hi = std::numeric_limits<std::uint64_t>::max()) {
+  std::uint64_t value = 0;
+  if (!support::parse_u64(text, &value) || value < lo || value > hi) usage(2);
+  return value;
 }
+
+unsigned count_arg(const char* text, unsigned lo, unsigned hi) {
+  return static_cast<unsigned>(u64_arg(text, lo, hi));
+}
+
+// A finite double >= 0. Finite matters: "nan" would slip through a `<= 0`
+// test, and converting an inf duration to the clock's integer representation
+// is UB ("no timeout" is spelled 0).
+double finite_arg(const char* text) {
+  const std::string_view view(text);
+  double value = 0.0;
+  const auto [end, ec] = std::from_chars(view.data(), view.data() + view.size(), value);
+  if (ec != std::errc() || end != view.data() + view.size() || !std::isfinite(value) ||
+      value < 0.0) {
+    usage(2);
+  }
+  return value;
+}
+
+std::string text_arg(const char* text) {
+  if (text[0] == '\0') usage(2);
+  return text;
+}
+
+bool on_off_arg(const char* text) {
+  const std::string_view value(text);
+  if (value != "on" && value != "off") usage(2);
+  return value == "on";
+}
+
+std::string on_off(bool on) { return on ? "on" : "off"; }
 
 // Comma-separated list of positive integers, parsed strictly (no trailing
 // garbage). `what` names the source in the CicError: a CLI flag here, an
@@ -274,20 +194,283 @@ std::vector<unsigned> parse_unsigned_list(std::string_view text, const char* wha
   return values;
 }
 
-// CLI-flag wrapper: malformed input is a usage error, not a CicError.
-std::vector<unsigned> parse_entry_list(const std::string& list) {
+std::vector<unsigned> list_arg(const char* text) {
   try {
-    return parse_unsigned_list(list, "option value");
+    return parse_unsigned_list(text, "option value");
   } catch (const support::CicError&) {
     usage(2);
   }
 }
 
-unsigned parse_count(const char* text, long lo, long hi) {
-  char* end = nullptr;
-  const long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || value < lo || value > hi) usage(2);
-  return static_cast<unsigned>(value);
+std::string join_list(const std::vector<unsigned>& values) {
+  std::string joined;
+  for (const unsigned value : values) {
+    if (!joined.empty()) joined += ',';
+    joined += std::to_string(value);
+  }
+  return joined;
+}
+
+// --- The flag table -------------------------------------------------------
+
+enum class Section { kTelemetry, kOptions, kSharding, kDispatch };
+
+// The dispatchable sweeps. Bit i of a flag's `sweeps` mask is kSweeps[i].
+constexpr std::array<std::string_view, 5> kSweeps = {"table1", "fig6", "blocks", "bench",
+                                                     "campaign"};
+constexpr unsigned kFig6 = 1U << 1, kBlocks = 1U << 2, kCampaign = 1U << 4, kEverySweep = 0x1F;
+
+struct Flag {
+  std::string_view name;
+  std::string_view metavar;  // "" = a switch, which takes no value
+  Section section;
+  std::string_view help;  // one paragraph; usage() word-wraps it
+  // Stores the value in Options, or runs the flag's parse-time side effect.
+  // `value` is null for a switch.
+  void (*parse)(Options& options, const char* value);
+  // Dispatch passes `name canonical(options)` to the workers of every sweep
+  // in `sweeps`, leaving out an empty value (an optional flag not given).
+  // Workers re-derive the sweep from these flags and the orchestrator
+  // validates their artifacts against its own spec, so the value must
+  // round-trip exactly (fmt_f64 is the shortest form that parses back to the
+  // same double).
+  unsigned sweeps = 0;
+  std::string (*canonical)(const Options& options) = nullptr;
+  // The flag's field in the campaign golden-state key; "" = not part of it.
+  std::string_view golden_key = "";
+};
+
+// Table order is forwarding order and golden-key order. The golden-key
+// fields (workload through checkpoint_stride) are hashed in this order into
+// every --golden-cache file name, so reordering them orphans existing
+// caches; Cli.GoldenCacheFileNamesArePinned guards it.
+constexpr Flag kFlagTable[] = {
+    {"--trace", "FILE", Section::kTelemetry,
+     "append cicmon-trace-v1 JSONL events (spans, instants, final counter snapshot) to FILE; "
+     "never touches stdout",
+     [](Options&, const char* value) {
+       // Opened at parse time, like --engine: the header event lands before
+       // any span the command emits.
+       if (!obs::open_trace(text_arg(value), g_command)) {
+         std::fprintf(stderr, "cicmon: cannot open trace file '%s'\n", value);
+         std::exit(1);
+       }
+     }},
+    {"--metrics", "json|table", Section::kTelemetry,
+     "after the command, emit a cicmon-metrics-v1 summary of every counter/timer to stderr",
+     [](Options&, const char* value) {
+       g_metrics_mode = value;
+       if (g_metrics_mode != "json" && g_metrics_mode != "table") usage(2);
+     }},
+    {"--metrics-out", "PATH", Section::kTelemetry,
+     "write the --metrics summary to PATH instead of stderr",
+     [](Options&, const char* value) { g_metrics_out = text_arg(value); }},
+
+    {"--workload", "W", Section::kOptions, "campaign workload (default dijkstra)",
+     [](Options& o, const char* value) { o.workload = value; }, kCampaign,
+     [](const Options& o) { return o.workload; }, "workload"},
+    {"--scale", "S", Section::kOptions, "workload scale factor, finite and > 0 (default 1.0)",
+     [](Options& o, const char* value) {
+       o.scale = finite_arg(value);
+       if (o.scale == 0.0) usage(2);
+     },
+     kEverySweep, [](const Options& o) { return exp::fmt_f64(o.scale); }, "scale"},
+    {"--engine", "threaded|switch", Section::kOptions,
+     "execution engine: 'threaded' (fused superinstruction handlers over chained blocks behind "
+     "a tamper-safe translation cache) or 'switch' (the per-uop predecode interpreter, the "
+     "reference oracle); both produce byte-identical results (default: threaded in Release "
+     "builds, switch in Debug builds)",
+     [](Options& o, const char* value) {
+       o.engine_flag = value;
+       if (o.engine_flag != "switch" && o.engine_flag != "threaded") usage(2);
+       cpu::set_default_engine(o.engine_flag == "switch" ? cpu::Engine::kSwitch
+                                                         : cpu::Engine::kThreaded);
+     },
+     kEverySweep, [](const Options& o) { return o.engine_flag; }},
+    {"--jobs", "N", Section::kOptions,
+     "worker threads; 0 = CICMON_JOBS env or hardware concurrency, 1 = serial (default 0); "
+     "under dispatch, each worker's thread count (default: hardware concurrency / workers)",
+     [](Options& o, const char* value) {
+       o.jobs = static_cast<unsigned>(
+           std::min<std::uint64_t>(u64_arg(value), support::kMaxJobs));
+     }},
+    {"--entries", "A,B,..", Section::kOptions, "IHT sizes for fig6 (default 1,8,16,32)",
+     [](Options& o, const char* value) { o.entries = list_arg(value); }, kFig6,
+     [](const Options& o) { return join_list(o.entries); }},
+    {"--capacities", "A,B,..", Section::kOptions,
+     "LRU table sizes for blocks (default 1,8,16,32)",
+     [](Options& o, const char* value) { o.capacities = list_arg(value); }, kBlocks,
+     [](const Options& o) { return join_list(o.capacities); }},
+    {"--site", "NAME", Section::kOptions,
+     "fault site: memory-text, fetch-bus, fetch-bus-paired, icache-line, post-id-latch "
+     "(default fetch-bus)",
+     [](Options& o, const char* value) { o.site = value; }, kCampaign,
+     [](const Options& o) { return o.site; }, "site"},
+    {"--bits", "B", Section::kOptions, "flipped bits per fault, 1 to 32 (default 1)",
+     [](Options& o, const char* value) { o.bits = count_arg(value, 1, 32); }, kCampaign,
+     [](const Options& o) { return std::to_string(o.bits); }, "bits"},
+    {"--trials", "N", Section::kOptions, "campaign trials (default 1000)",
+     [](Options& o, const char* value) { o.trials = count_arg(value, 1, 100'000'000); },
+     kCampaign, [](const Options& o) { return std::to_string(o.trials); }, "trials"},
+    {"--seed", "X", Section::kOptions, "campaign seed (default 2026)",
+     [](Options& o, const char* value) { o.seed = u64_arg(value); }, kCampaign,
+     [](const Options& o) { return std::to_string(o.seed); }, "seed"},
+    {"--monitor", "on|off", Section::kOptions, "campaign machine has the CIC (default on)",
+     [](Options& o, const char* value) { o.monitor = on_off_arg(value); }, kCampaign,
+     [](const Options& o) { return on_off(o.monitor); }, "monitor"},
+    {"--checkpoints", "on|off", Section::kOptions,
+     "campaign: fast-forward each trial by restoring the nearest golden-run snapshot before "
+     "its trigger instead of re-simulating the clean prefix; never changes a trial outcome "
+     "(default on; off exists for A/B checks and is forced under recovery mode)",
+     [](Options& o, const char* value) { o.checkpoints = on_off_arg(value); }, kCampaign,
+     [](const Options& o) { return on_off(o.checkpoints); }, "checkpoints"},
+    {"--checkpoint-stride", "N", Section::kOptions,
+     "campaign snapshot spacing in retired instructions; 0 = automatic bounded-memory schedule "
+     "(default 0)",
+     [](Options& o, const char* value) { o.checkpoint_stride = u64_arg(value); }, kCampaign,
+     [](const Options& o) { return std::to_string(o.checkpoint_stride); }, "checkpoint_stride"},
+    // Shared by session and exec-per-shard workers, so even the exec
+    // fallback derives the golden state once per directory, not per shard.
+    {"--golden-cache", "DIR", Section::kOptions,
+     "campaign: cache the derived golden state (image, snapshots, golden result) on disk, "
+     "keyed by a canonical hash of the campaign parameters; later runs with the same "
+     "parameters load it instead of re-deriving; never changes any output",
+     [](Options& o, const char* value) { o.golden_cache = text_arg(value); }, kCampaign,
+     [](const Options& o) { return o.golden_cache; }},
+    {"--json", "PATH", Section::kOptions,
+     "bench: also write results as JSON to PATH; campaign (direct or dispatched): write a "
+     "campaign section with the trials/sec trajectory metric (the dispatched form adds the "
+     "fleet telemetry) instead",
+     [](Options& o, const char* value) { o.json_path = text_arg(value); }},
+    {"--help", "", Section::kOptions, "print this screen and exit (also -h)",
+     [](Options&, const char*) { usage(0); }},
+
+    {"--shard", "I/N", Section::kSharding,
+     "run only the cells owned by shard I of N and write a cicmon-shard-v1 partial artifact, "
+     "not the table",
+     [](Options& o, const char* value) {
+       o.shard_text = value;
+       exp::parse_shard(o.shard_text);  // reject malformed I/N up front
+     }},
+    {"--out", "PATH", Section::kSharding,
+     "artifact path (default cicmon-<sweep>-shard-IofN.json); a matching existing artifact is "
+     "reused (resume)",
+     [](Options& o, const char* value) { o.out_path = text_arg(value); }},
+    {"--force", "", Section::kSharding, "rerun the shard even when its artifact matches",
+     [](Options& o, const char*) { o.force = true; }},
+
+    {"--workers", "K", Section::kDispatch,
+     "concurrent worker processes (default: hardware concurrency)",
+     [](Options& o, const char* value) { o.workers = count_arg(value, 1, 100'000); }},
+    {"--shards", "N", Section::kDispatch,
+     "work items; over-decomposed for load balancing (default 4x workers, capped at the cell "
+     "count)",
+     [](Options& o, const char* value) { o.dispatch_shards = count_arg(value, 1, 10'000'000); }},
+    {"--transport", "T", Section::kDispatch,
+     "launch workers through a shell template with {cmd}/{shard}/{out} placeholders, e.g. "
+     "'ssh build-02 cd /repo && {cmd}' (default: local subprocesses); a template using only "
+     "{cmd} forwards stdio and still gets persistent sessions + golden shipping; "
+     "{shard}/{out} force exec-per-shard",
+     [](Options& o, const char* value) { o.transport = text_arg(value); }},
+    {"--retries", "R", Section::kDispatch, "extra attempts per shard after a failure (default 2)",
+     [](Options& o, const char* value) { o.retries = count_arg(value, 0, 1000); }},
+    {"--timeout", "SEC", Section::kDispatch,
+     "per-shard wall-clock limit; 0 = none (default 300)",
+     [](Options& o, const char* value) { o.timeout = finite_arg(value); }},
+    {"--dir", "DIR", Section::kDispatch,
+     "shard artifact directory (default cicmon-dispatch); valid artifacts already there are "
+     "reused (resume)",
+     [](Options& o, const char* value) { o.dir = text_arg(value); }},
+    {"--quiet", "", Section::kDispatch, "suppress the live progress/ETA lines on stderr",
+     [](Options& o, const char*) { o.quiet = true; }},
+    {"--exec-per-shard", "", Section::kDispatch,
+     "spawn one process per shard instead of persistent worker sessions (sessions are the "
+     "default whenever the transport forwards stdio)",
+     [](Options& o, const char*) { o.exec_per_shard = true; }},
+    {"--ship-golden", "on|off", Section::kDispatch,
+     "campaign: offer the orchestrator's derived golden state to each session worker over the "
+     "wire so the worker skips its own golden run (default on; off exists for A/B "
+     "byte-identity checks)",
+     [](Options& o, const char* value) { o.ship_golden = on_off_arg(value); }},
+    {"--dry-run", "", Section::kDispatch,
+     "print the planned shard grid, worker commands, and session mode, then exit without "
+     "launching anything",
+     [](Options& o, const char*) { o.dry_run = true; }},
+};
+
+// One help entry per flag of `section`: name and metavar, then the help text
+// word-wrapped into a column, starting on the next line when the name
+// leaves no two-space gap before the column.
+void print_flags(std::FILE* out, Section section) {
+  constexpr std::size_t kColumn = 19;
+  constexpr std::size_t kWidth = 78;
+  for (const Flag& flag : kFlagTable) {
+    if (flag.section != section) continue;
+    std::string line = "  " + std::string(flag.name);
+    if (!flag.metavar.empty()) (line += ' ') += flag.metavar;
+    if (line.size() + 2 > kColumn) {
+      std::fprintf(out, "%s\n", line.c_str());
+      line.clear();
+    }
+    line.resize(kColumn, ' ');
+    bool first = true;
+    for (const std::string_view word : support::split(flag.help, " ")) {
+      if (!first && line.size() + 1 + word.size() > kWidth) {
+        std::fprintf(out, "%s\n", line.c_str());
+        line.assign(kColumn, ' ');
+        first = true;
+      }
+      if (!first) line += ' ';
+      line += word;
+      first = false;
+    }
+    std::fprintf(out, "%s\n", line.c_str());
+  }
+}
+
+[[noreturn]] void usage(int code) {
+  std::FILE* out = code == 0 ? stdout : stderr;
+  std::fputs(
+      "usage: cicmon <command> [options]\n"
+      "\n"
+      "commands:\n"
+      "  table1      Table 1: cycle-count overhead (baseline vs CIC8/CIC16)\n"
+      "  fig6        Figure 6: IHT miss rate vs table size\n"
+      "  blocks      Section 6.1: executed-block counts and LRU locality\n"
+      "  bench       simulator throughput over all workloads\n"
+      "  campaign    random fault-injection campaign\n"
+      "  dispatch    scale a sweep out over worker processes or hosts\n"
+      "  worker      persistent dispatch worker (serves shards over stdin/stdout;\n"
+      "              spawned by dispatch, not meant for interactive use)\n"
+      "  merge       aggregate cicmon-shard-v1 artifacts into the full output\n"
+      "  report      render a cicmon-trace-v1 event log (--trace output) as\n"
+      "              per-phase/per-worker breakdown tables\n"
+      "  workloads   list the benchmark kernels\n"
+      "\n"
+      "telemetry (every command; see docs/telemetry.md):\n",
+      out);
+  print_flags(out, Section::kTelemetry);
+  std::fputs("\noptions:\n", out);
+  print_flags(out, Section::kOptions);
+  std::fputs("\nsharding (table1/fig6/blocks/bench/campaign):\n", out);
+  print_flags(out, Section::kSharding);
+  std::fputs(
+      "\n"
+      "`cicmon merge s1.json s2.json ...` needs every shard of one run and\n"
+      "prints output byte-identical to the unsharded invocation. A directory\n"
+      "argument is scanned for *.shard.json artifacts.\n"
+      "\n"
+      "dispatch (cicmon dispatch <table1|fig6|blocks|bench|campaign> ...):\n",
+      out);
+  print_flags(out, Section::kDispatch);
+  std::fputs(
+      "\n"
+      "dispatch stdout is byte-identical to the direct invocation of the\n"
+      "same sweep, at any worker/shard count, in either session mode, and\n"
+      "across worker kills and retries. Incremental merge progress streams\n"
+      "to stderr as shards land.\n",
+      out);
+  std::exit(code);
 }
 
 // "; did you mean 'X'?" when `given` is plausibly a typo of a candidate —
@@ -313,144 +496,31 @@ std::string did_you_mean(std::string_view given, std::span<const std::string_vie
 constexpr std::array<std::string_view, 11> kCommands = {
     "table1", "fig6",  "blocks",    "bench", "campaign", "worker",
     "dispatch", "merge", "report", "workloads", "help"};
-constexpr std::array<std::string_view, 33> kFlags = {
-    "--scale", "--jobs",    "--entries", "--capacities", "--workload", "--site",
-    "--bits",  "--trials",  "--seed",    "--monitor",    "--json",     "--shard",
-    "--out",   "--force",   "--workers", "--shards",     "--transport", "--retries",
-    "--timeout", "--dir",   "--quiet",   "--dry-run",    "--exec-per-shard", "--help",
-    "--engine", "--best-of", "--checkpoints", "--checkpoint-stride", "--golden-cache",
-    "--ship-golden", "--trace", "--metrics", "--metrics-out"};
 
 // `first` is the index of the first flag: 2 for `cicmon <cmd> ...`, 3 for
 // `cicmon dispatch <cmd> ...`.
 Options parse_options(int argc, char** argv, bool allow_positional, int first = 2) {
   Options options;
   for (int i = first; i < argc; ++i) {
-    const std::string_view flag = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) usage(2);
-      return argv[++i];
-    };
-    if (flag == "--scale") {
-      options.scale = std::atof(value());
-      if (options.scale <= 0.0) usage(2);
-    } else if (flag == "--jobs") {
-      char* end = nullptr;
-      const long jobs = std::strtol(value(), &end, 10);
-      // 0 is valid (resolve CICMON_JOBS / hardware); the engine caps the
-      // rest at support::kMaxJobs.
-      if (end == nullptr || *end != '\0' || jobs < 0) usage(2);
-      options.jobs = static_cast<unsigned>(std::min<long>(jobs, support::kMaxJobs));
-    } else if (flag == "--entries") {
-      options.entries = parse_entry_list(value());
-    } else if (flag == "--capacities") {
-      options.capacities = parse_entry_list(value());
-    } else if (flag == "--workload") {
-      options.workload = value();
-    } else if (flag == "--site") {
-      options.site = value();
-    } else if (flag == "--bits") {
-      options.bits = parse_count(value(), 1, 32);
-    } else if (flag == "--trials") {
-      options.trials = parse_count(value(), 1, 100'000'000);
-    } else if (flag == "--seed") {
-      options.seed = std::strtoull(value(), nullptr, 10);
-    } else if (flag == "--monitor") {
-      const std::string_view v = value();
-      if (v != "on" && v != "off") usage(2);
-      options.monitor = v == "on";
-    } else if (flag == "--json") {
-      options.json_path = value();
-      if (options.json_path.empty()) usage(2);
-    } else if (flag == "--shard") {
-      options.shard_text = value();
-      exp::parse_shard(options.shard_text);  // reject malformed I/N up front
-    } else if (flag == "--out") {
-      options.out_path = value();
-      if (options.out_path.empty()) usage(2);
-    } else if (flag == "--force") {
-      options.force = true;
-    } else if (flag == "--workers") {
-      options.workers = parse_count(value(), 1, 100'000);
-    } else if (flag == "--shards") {
-      options.dispatch_shards = parse_count(value(), 1, 10'000'000);
-    } else if (flag == "--retries") {
-      options.retries = parse_count(value(), 0, 1000);
-    } else if (flag == "--timeout") {
-      const char* text = value();
-      char* end = nullptr;
-      options.timeout = std::strtod(text, &end);
-      // Finite only: converting an inf/nan duration to the clock's integer
-      // representation is UB (and 'no timeout' is spelled 0, not inf).
-      if (end == text || *end != '\0' || !std::isfinite(options.timeout) ||
-          options.timeout < 0) {
-        usage(2);
+    const std::string_view arg = argv[i];
+    if (arg == "-h") usage(0);
+    const auto flag = std::find_if(std::begin(kFlagTable), std::end(kFlagTable),
+                                   [&](const Flag& f) { return f.name == arg; });
+    if (flag != std::end(kFlagTable)) {
+      const char* value = nullptr;
+      if (!flag->metavar.empty()) {
+        if (i + 1 >= argc) usage(2);
+        value = argv[++i];
       }
-    } else if (flag == "--transport") {
-      options.transport = value();
-      if (options.transport.empty()) usage(2);
-    } else if (flag == "--dir") {
-      options.dir = value();
-      if (options.dir.empty()) usage(2);
-    } else if (flag == "--quiet") {
-      options.quiet = true;
-    } else if (flag == "--dry-run") {
-      options.dry_run = true;
-    } else if (flag == "--exec-per-shard") {
-      options.exec_per_shard = true;
-    } else if (flag == "--engine") {
-      const std::string_view v = value();
-      if (v == "switch") {
-        cpu::set_default_engine(cpu::Engine::kSwitch);
-      } else if (v == "threaded") {
-        cpu::set_default_engine(cpu::Engine::kThreaded);
-      } else {
-        usage(2);
-      }
-      options.engine_flag = v;
-    } else if (flag == "--best-of") {
-      options.best_of = parse_count(value(), 1, 1000);
-    } else if (flag == "--checkpoints") {
-      const std::string_view v = value();
-      if (v != "on" && v != "off") usage(2);
-      options.checkpoints = v == "on";
-    } else if (flag == "--checkpoint-stride") {
-      const char* text = value();
-      char* end = nullptr;
-      const unsigned long long stride = std::strtoull(text, &end, 10);
-      if (end == text || *end != '\0') usage(2);
-      options.checkpoint_stride = stride;
-    } else if (flag == "--golden-cache") {
-      options.golden_cache = value();
-      if (options.golden_cache.empty()) usage(2);
-    } else if (flag == "--ship-golden") {
-      const std::string_view v = value();
-      if (v != "on" && v != "off") usage(2);
-      options.ship_golden = v == "on";
-    } else if (flag == "--trace") {
-      const char* path = value();
-      if (path[0] == '\0') usage(2);
-      // Opened at parse time, like --engine: the header event lands before
-      // any span the command emits.
-      if (!obs::open_trace(path, g_command)) {
-        std::fprintf(stderr, "cicmon: cannot open trace file '%s'\n", path);
-        std::exit(1);
-      }
-    } else if (flag == "--metrics") {
-      const std::string_view v = value();
-      if (v != "json" && v != "table") usage(2);
-      g_metrics_mode = v;
-    } else if (flag == "--metrics-out") {
-      g_metrics_out = value();
-      if (g_metrics_out.empty()) usage(2);
-    } else if (flag == "--help" || flag == "-h") {
-      usage(0);
-    } else if (allow_positional && (flag.empty() || flag.front() != '-')) {
-      options.inputs.emplace_back(flag);  // merge artifact paths
+      flag->parse(options, value);
+    } else if (allow_positional && (arg.empty() || arg.front() != '-')) {
+      options.inputs.emplace_back(arg);  // merge artifact paths
     } else {
-      const bool is_option = !flag.empty() && flag.front() == '-';
+      const bool is_option = !arg.empty() && arg.front() == '-';
+      std::vector<std::string_view> names;
+      for (const Flag& f : kFlagTable) names.push_back(f.name);
       std::fprintf(stderr, "cicmon: unknown %s '%s'%s\n", is_option ? "option" : "argument",
-                   argv[i], is_option ? did_you_mean(flag, kFlags).c_str() : "");
+                   argv[i], is_option ? did_you_mean(arg, names).c_str() : "");
       usage(2);
     }
   }
@@ -467,6 +537,7 @@ fault::FaultSite parse_site(const std::string& name) {
   std::fprintf(stderr, "cicmon: unknown fault site '%s'\n", name.c_str());
   usage(2);
 }
+
 
 // --- Rendering: cells -> stdout -----------------------------------------
 //
@@ -551,22 +622,25 @@ void render_campaign(const exp::SweepParams& params,
               std::string(exp::param(params, "monitor")).c_str());
 
   support::Table table({"outcome", "count"});
-  table.add_row({"detected-mismatch", support::Table::fmt_u64(summary.detected_mismatch)});
-  table.add_row({"detected-miss", support::Table::fmt_u64(summary.detected_miss)});
-  table.add_row({"detected-baseline", support::Table::fmt_u64(summary.detected_baseline)});
-  table.add_row({"wrong-output", support::Table::fmt_u64(summary.wrong_output)});
-  table.add_row({"benign", support::Table::fmt_u64(summary.benign)});
-  table.add_row({"hang", support::Table::fmt_u64(summary.hang)});
+  for (const auto& [outcome, count] : {std::pair{"detected-mismatch", summary.detected_mismatch},
+                                       {"detected-miss", summary.detected_miss},
+                                       {"detected-baseline", summary.detected_baseline},
+                                       {"wrong-output", summary.wrong_output},
+                                       {"benign", summary.benign},
+                                       {"hang", summary.hang}}) {
+    table.add_row({outcome, support::Table::fmt_u64(count)});
+  }
   std::fputs(table.render().c_str(), stdout);
   std::printf("\ndetection: %s effective, %s of all trials\n",
               support::Table::fmt_pct(summary.detection_rate_effective()).c_str(),
               support::Table::fmt_pct(summary.detection_rate_total()).c_str());
 }
 
-int write_json_file(const std::string& path, const std::string& text) {
+// Writes a --json or --metrics-out document; `what` names it in the error.
+int write_text_file(const std::string& path, const std::string& text, const char* what) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
-    std::fprintf(stderr, "cicmon: cannot write JSON to '%s'\n", path.c_str());
+    std::fprintf(stderr, "cicmon: cannot write %s to '%s'\n", what, path.c_str());
     return 1;
   }
   std::fwrite(text.data(), 1, text.size(), out);
@@ -574,58 +648,60 @@ int write_json_file(const std::string& path, const std::string& text) {
   return 0;
 }
 
+// One "key": value member of the flat cicmon-bench-v1 documents below.
+void put(support::JsonWriter& json, std::string_view key, std::string_view value) {
+  json.key(key);
+  json.value(value);
+}
+
+void put_u64(support::JsonWriter& json, std::string_view key, std::uint64_t value) {
+  json.key(key);
+  json.value_u64(value);
+}
+
+void put_fixed(support::JsonWriter& json, std::string_view key, double value, int precision) {
+  json.key(key);
+  json.value_fixed(value, precision);
+}
+
 // Writes the bench cells as a stable machine-readable JSON document (the
 // `cicmon-bench-v1` schema consumed by CI's regression gate and committed as
 // the BENCH_*.json trajectory artifacts). Simulated columns (instructions,
 // cycles) are deterministic; host_ms/mips are wall-clock measurements.
-int write_bench_json(const std::string& path, double scale, unsigned jobs, unsigned best_of,
+int write_bench_json(const std::string& path, double scale, unsigned jobs,
                      const std::vector<exp::CellResult>& cells, double total_minstr,
                      double total_ms) {
   const auto infos = workloads::all_workloads();
   support::JsonWriter json;
   json.begin_object();
-  json.key("schema");
-  json.value("cicmon-bench-v1");
+  put(json, "schema", "cicmon-bench-v1");
   json.key("scale");
   json.value(scale);
-  json.key("jobs");
-  json.value_u64(jobs);
-  json.key("best_of");
-  json.value_u64(best_of);
-  json.key("engine");
-  json.value(std::string(cpu::engine_name(cpu::default_engine())));
+  put_u64(json, "jobs", jobs);
+  put(json, "engine", cpu::engine_name(cpu::default_engine()));
   json.key("workloads");
   json.begin_array();
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const double minstr = static_cast<double>(cells[i].u64.at(0)) / 1e6;
     const double wall_ms = cells[i].f64.at(0);
     json.begin_object();
-    json.key("benchmark");
-    json.value(infos[i / 2].name);
-    json.key("machine");
-    json.value(i % 2 == 0 ? "baseline" : "cic16");
-    json.key("instructions");
-    json.value_u64(cells[i].u64.at(0));
-    json.key("cycles");
-    json.value_u64(cells[i].u64.at(1));
-    json.key("host_ms");
-    json.value_fixed(wall_ms, 3);
-    json.key("mips");
-    json.value_fixed(minstr / (wall_ms / 1000.0), 3);
+    put(json, "benchmark", infos[i / 2].name);
+    put(json, "machine", i % 2 == 0 ? "baseline" : "cic16");
+    put_u64(json, "instructions", cells[i].u64.at(0));
+    put_u64(json, "cycles", cells[i].u64.at(1));
+    put_fixed(json, "host_ms", wall_ms, 3);
+    put_fixed(json, "mips", minstr / (wall_ms / 1000.0), 3);
     json.end_object();
   }
   json.end_array();
   json.key("total");
   json.begin_object();
-  json.key("minstr");
-  json.value_fixed(total_minstr, 3);
-  json.key("wall_ms");
-  json.value_fixed(total_ms, 1);
-  json.key("aggregate_mips");
-  json.value_fixed(total_minstr / (total_ms / 1000.0), 3);
+  put_fixed(json, "minstr", total_minstr, 3);
+  put_fixed(json, "wall_ms", total_ms, 1);
+  put_fixed(json, "aggregate_mips", total_minstr / (total_ms / 1000.0), 3);
   json.end_object();
   json.end_object();
-  return write_json_file(path, json.take());
+  return write_text_file(path, json.take(), "JSON");
 }
 
 // `total_ms` < 0 means "no whole-run measurement" (the merge path) and is
@@ -642,17 +718,7 @@ int render_bench(const exp::SweepParams& params, const std::vector<exp::CellResu
   // The merge path has no whole-run wall clock and no meaningful job count —
   // the timings were produced by other processes at their own --jobs.
   const bool merged = total_ms < 0;
-  // best_of comes from the sweep params so the merge path reports what the
-  // shards actually ran; artifacts from before the parameter existed ran
-  // exactly once.
-  unsigned best_of = 1;
-  for (const auto& [key, value] : params) {
-    if (key == "best_of") best_of = static_cast<unsigned>(std::strtoul(value.c_str(), nullptr, 10));
-  }
-  // Best-of keeps each cell's fastest attempt, but the whole-run clock paid
-  // for every attempt — rebuild the total from the per-cell bests (exactly
-  // what the merge path does) so the aggregate reflects the kept timings.
-  if (merged || best_of > 1) {
+  if (merged) {
     total_ms = 0;
     for (const exp::CellResult& cell : cells) total_ms += cell.f64.at(0);
   }
@@ -669,17 +735,13 @@ int render_bench(const exp::SweepParams& params, const std::vector<exp::CellResu
                    support::Table::fmt(minstr / (wall_ms / 1000.0), 1)});
   }
   std::fputs(table.render().c_str(), stdout);
-  if (merged) {
-    std::printf("\ntotal: %.1f Minstr in %.0f ms wall (merged shards) = %.1f MIPS aggregate\n",
-                total_minstr, total_ms, total_minstr / (total_ms / 1000.0));
-  } else {
-    std::printf("\ntotal: %.1f Minstr in %.0f ms wall (%u jobs) = %.1f MIPS aggregate\n",
-                total_minstr, total_ms, jobs, total_minstr / (total_ms / 1000.0));
-  }
+  const std::string how = merged ? "merged shards" : std::to_string(jobs) + " jobs";
+  std::printf("\ntotal: %.1f Minstr in %.0f ms wall (%s) = %.1f MIPS aggregate\n", total_minstr,
+              total_ms, how.c_str(), total_minstr / (total_ms / 1000.0));
   if (!json_path.empty()) {
     // jobs 0 in the JSON marks a merged document for the same reason.
     return write_bench_json(json_path, exp::parse_f64(exp::param(params, "scale")),
-                            merged ? 0 : jobs, best_of, cells, total_minstr, total_ms);
+                            merged ? 0 : jobs, cells, total_minstr, total_ms);
   }
   return 0;
 }
@@ -687,28 +749,23 @@ int render_bench(const exp::SweepParams& params, const std::vector<exp::CellResu
 int render_cells(const std::string& sweep, const exp::SweepParams& params,
                  const std::vector<exp::CellResult>& cells, const Options& options,
                  double bench_total_ms) {
-  if (sweep == "table1") {
-    render_table1(cells);
-    return 0;
-  }
-  if (sweep == "fig6") {
-    render_fig6(params, cells);
-    return 0;
-  }
-  if (sweep == "blocks") {
-    render_blocks(params, cells);
-    return 0;
-  }
-  if (sweep == "campaign") {
-    render_campaign(params, cells);
-    return 0;
-  }
   if (sweep == "bench") {
     return render_bench(params, cells, bench_total_ms, support::resolve_jobs(options.jobs),
                         options.json_path);
   }
-  std::fprintf(stderr, "cicmon: cannot render sweep '%s'\n", sweep.c_str());
-  return 1;
+  if (sweep == "table1") {
+    render_table1(cells);
+  } else if (sweep == "fig6") {
+    render_fig6(params, cells);
+  } else if (sweep == "blocks") {
+    render_blocks(params, cells);
+  } else if (sweep == "campaign") {
+    render_campaign(params, cells);
+  } else {
+    std::fprintf(stderr, "cicmon: cannot render sweep '%s'\n", sweep.c_str());
+    return 1;
+  }
+  return 0;
 }
 
 // --- Sweep subcommand driver --------------------------------------------
@@ -773,19 +830,14 @@ struct SweepBundle {
 // The canonical golden-state identity: every parameter the derived golden
 // state depends on, and nothing else. Execution strategies (engine, jobs)
 // are deliberately excluded — they never change the golden state, so a
-// cache or shipment produced under one strategy serves every other.
+// cache or shipment produced under one strategy serves every other. The
+// fields are the flag-table entries that name a golden_key, in table order.
 std::string campaign_golden_key(const Options& options) {
-  return fault::golden_key({
-      {"workload", options.workload},
-      {"scale", exp::fmt_f64(options.scale)},
-      {"site", options.site},
-      {"bits", std::to_string(options.bits)},
-      {"trials", std::to_string(options.trials)},
-      {"seed", std::to_string(options.seed)},
-      {"monitor", options.monitor ? "on" : "off"},
-      {"checkpoints", options.checkpoints ? "on" : "off"},
-      {"checkpoint_stride", std::to_string(options.checkpoint_stride)},
-  });
+  std::vector<std::pair<std::string, std::string>> fields;
+  for (const Flag& flag : kFlagTable) {
+    if (!flag.golden_key.empty()) fields.emplace_back(flag.golden_key, flag.canonical(options));
+  }
+  return fault::golden_key(fields);
 }
 
 // Builds the campaign runner the cheapest honest way available: import a
@@ -817,33 +869,24 @@ SweepBundle make_campaign_sweep(const Options& options, const std::string* shipp
   obs::Span golden_span("campaign.golden");
   std::unique_ptr<fault::CampaignRunner> runner;
   std::string source;
-  if (shipped != nullptr) {
+  // Imports a golden blob from `from`; a rejected blob leaves `runner` null.
+  auto import = [&](const std::string& blob, const char* from) {
     try {
-      const fault::GoldenState state = fault::decode_golden(*shipped, key);
-      runner = std::make_unique<fault::CampaignRunner>(image, config, checkpoints, state);
-      source = "shipped";
+      runner = std::make_unique<fault::CampaignRunner>(image, config, checkpoints,
+                                                       fault::decode_golden(blob, key));
+      source = from;
     } catch (const support::CicError& error) {
-      std::fprintf(stderr, "cicmon: shipped golden state rejected (%s); deriving locally\n",
+      std::fprintf(stderr, "cicmon: %s golden state rejected (%s); deriving locally\n", from,
                    error.what());
-      runner.reset();
     }
-  }
+  };
+  if (shipped != nullptr) import(*shipped, "shipped");
   if (runner == nullptr && !options.golden_cache.empty()) {
     // load_cached_golden already validated magic/key/checksum; decode can
     // still reject structure, and a stale or truncated entry is overwritten
     // below by the fresh derivation.
     const std::string blob = fault::load_cached_golden(options.golden_cache, key);
-    if (!blob.empty()) {
-      try {
-        const fault::GoldenState state = fault::decode_golden(blob, key);
-        runner = std::make_unique<fault::CampaignRunner>(image, config, checkpoints, state);
-        source = "cached";
-      } catch (const support::CicError& error) {
-        std::fprintf(stderr, "cicmon: cached golden state rejected (%s); deriving locally\n",
-                     error.what());
-        runner.reset();
-      }
-    }
+    if (!blob.empty()) import(blob, "cached");
   }
   if (runner == nullptr) {
     runner = std::make_unique<fault::CampaignRunner>(image, config, checkpoints);
@@ -863,7 +906,7 @@ SweepBundle make_campaign_sweep(const Options& options, const std::string* shipp
   // header reports (deterministic, so merge can reprint it without a run).
   spec.params.emplace_back("workload", options.workload);
   spec.params.emplace_back("scale", exp::fmt_f64(options.scale));
-  spec.params.emplace_back("monitor", options.monitor ? "on" : "off");
+  spec.params.emplace_back("monitor", on_off(options.monitor));
   spec.params.emplace_back("golden_instructions",
                            std::to_string(runner->golden_instructions()));
   return {std::move(spec), std::move(runner), key, std::move(source)};
@@ -880,9 +923,7 @@ SweepBundle make_sweep(std::string_view command, const Options& options,
   if (command == "blocks") {
     return {sim::blocks_sweep(options.capacities, options.scale), nullptr, "", ""};
   }
-  if (command == "bench") {
-    return {sim::bench_sweep(options.scale, options.best_of), nullptr, "", ""};
-  }
+  if (command == "bench") return {sim::bench_sweep(options.scale), nullptr, "", ""};
   return make_campaign_sweep(options, shipped);
 }
 
@@ -890,52 +931,60 @@ SweepBundle make_sweep(std::string_view command, const Options& options,
 // but carrying a "campaign" object instead of the workload grid, so the
 // campaign path has its own machine-readable perf trajectory number
 // (trials_per_sec — the figure BENCH_PR7.json tracks before/after
-// checkpointing). Everything except wall_ms/trials_per_sec is deterministic.
+// checkpointing). With `dispatch`, the throughput is the whole dispatch
+// (orchestrator wall clock over all trials) and a nested "dispatch" object
+// reports the fleet telemetry — including the summed worker-measured shard
+// wall clock (the useful work) that an honest dispatch-tax number divides
+// by; the direct run reports its jobs and restore counts instead.
+// Everything except the wall-clock figures is deterministic.
 int write_campaign_json(const std::string& path, const Options& options,
-                        const fault::CampaignRunner& runner, double wall_ms) {
+                        const fault::CampaignRunner& runner, double wall_ms,
+                        const dist::DispatchResult* dispatch = nullptr) {
   support::JsonWriter json;
   json.begin_object();
-  json.key("schema");
-  json.value("cicmon-bench-v1");
+  put(json, "schema", "cicmon-bench-v1");
   json.key("campaign");
   json.begin_object();
-  json.key("workload");
-  json.value(options.workload);
+  put(json, "workload", options.workload);
   json.key("scale");
   json.value(options.scale);
-  json.key("site");
-  json.value(options.site);
-  json.key("bits");
-  json.value_u64(options.bits);
-  json.key("trials");
-  json.value_u64(options.trials);
-  json.key("seed");
-  json.value_u64(options.seed);
-  json.key("monitor");
-  json.value(options.monitor ? "on" : "off");
-  json.key("engine");
-  json.value(std::string(cpu::engine_name(cpu::default_engine())));
-  json.key("jobs");
-  json.value_u64(support::resolve_jobs(options.jobs));
-  json.key("checkpoints");
-  json.value(runner.checkpoints_enabled() ? "on" : "off");
-  json.key("checkpoint_stride");
-  json.value_u64(runner.checkpoint_stride());
-  json.key("snapshots");
-  json.value_u64(runner.snapshot_count());
-  json.key("restores");
-  json.value_u64(runner.restores());
-  json.key("skipped_instructions");
-  json.value_u64(runner.skipped_instructions());
-  json.key("golden_instructions");
-  json.value_u64(runner.golden_instructions());
-  json.key("wall_ms");
-  json.value_fixed(wall_ms, 1);
-  json.key("trials_per_sec");
-  json.value_fixed(static_cast<double>(options.trials) / (wall_ms / 1000.0), 1);
+  put(json, "site", options.site);
+  put_u64(json, "bits", options.bits);
+  put_u64(json, "trials", options.trials);
+  put_u64(json, "seed", options.seed);
+  put(json, "monitor", on_off(options.monitor));
+  put(json, "engine", cpu::engine_name(cpu::default_engine()));
+  if (dispatch == nullptr) put_u64(json, "jobs", support::resolve_jobs(options.jobs));
+  put(json, "checkpoints", on_off(runner.checkpoints_enabled()));
+  put_u64(json, "checkpoint_stride", runner.checkpoint_stride());
+  put_u64(json, "snapshots", runner.snapshot_count());
+  if (dispatch == nullptr) {
+    put_u64(json, "restores", runner.restores());
+    put_u64(json, "skipped_instructions", runner.skipped_instructions());
+  }
+  put_u64(json, "golden_instructions", runner.golden_instructions());
+  if (dispatch != nullptr) {
+    json.key("dispatch");
+    json.begin_object();
+    put(json, "mode", dispatch->persistent ? "sessions" : "exec");
+    put_u64(json, "shards", dispatch->shard_count);
+    put_u64(json, "reused", dispatch->reused);
+    put_u64(json, "launched", dispatch->launched);
+    put_u64(json, "retried", dispatch->retried);
+    put_u64(json, "golden_shipped", dispatch->golden_shipped);
+    put_u64(json, "golden_cached", dispatch->golden_cached);
+    put_u64(json, "golden_derived", dispatch->golden_derived);
+    put_u64(json, "worker_wall_ms", dispatch->worker_wall_ms);
+    put_u64(json, "busy_ms", dispatch->busy_ms);
+    put_u64(json, "queue_wait_ms", dispatch->queue_wait_ms);
+    put_u64(json, "elapsed_ms", dispatch->elapsed_ms);
+    json.end_object();
+  }
+  put_fixed(json, "wall_ms", wall_ms, 1);
+  put_fixed(json, "trials_per_sec", static_cast<double>(options.trials) / (wall_ms / 1000.0), 1);
   json.end_object();
   json.end_object();
-  return write_json_file(path, json.take());
+  return write_text_file(path, json.take(), "JSON");
 }
 
 int cmd_campaign(const Options& options) {
@@ -1049,51 +1098,15 @@ int cmd_merge(const Options& options) {
   return render_cells(sweep, params, cells, options, /*bench_total_ms=*/-1.0);
 }
 
-// Serializes the sweep-defining options back into worker argv form. The
-// workers re-derive the SweepSpec from these flags, and the orchestrator
-// validates their artifacts against the parent's spec — so every value must
-// survive the round trip exactly (fmt_f64 emits the shortest form that
-// parses back to the same double).
-std::vector<std::string> worker_sweep_flags(std::string_view command, const Options& options) {
-  auto join = [](const std::vector<unsigned>& values) {
-    std::string joined;
-    for (const unsigned value : values) {
-      if (!joined.empty()) joined += ',';
-      joined += std::to_string(value);
-    }
-    return joined;
-  };
-  std::vector<std::string> flags{"--scale", exp::fmt_f64(options.scale)};
-  // Engine selection does not shape the sweep (results are byte-identical
-  // either way), but an explicit choice should reach the workers so the whole
-  // dispatch runs the engine the user asked for.
-  if (!options.engine_flag.empty()) {
-    flags.insert(flags.end(), {"--engine", options.engine_flag});
-  }
-  // best_of is a bench sweep parameter: workers must run the same repeat
-  // count or their artifacts fail validation against the dispatch params.
-  if (command == "bench" && options.best_of != 1) {
-    flags.insert(flags.end(), {"--best-of", std::to_string(options.best_of)});
-  }
-  if (command == "fig6") flags.insert(flags.end(), {"--entries", join(options.entries)});
-  if (command == "blocks") flags.insert(flags.end(), {"--capacities", join(options.capacities)});
-  if (command == "campaign") {
-    flags.insert(flags.end(),
-                 {"--workload", options.workload, "--site", options.site, "--bits",
-                  std::to_string(options.bits), "--trials", std::to_string(options.trials),
-                  "--seed", std::to_string(options.seed), "--monitor",
-                  options.monitor ? "on" : "off",
-                  // Like --engine: an execution strategy, not a sweep
-                  // parameter — forwarded so the workers accelerate (or A/B)
-                  // the same way the user asked the orchestrator to.
-                  "--checkpoints", options.checkpoints ? "on" : "off",
-                  "--checkpoint-stride", std::to_string(options.checkpoint_stride)});
-    if (!options.golden_cache.empty()) {
-      // Session workers and exec-per-shard workers alike share the disk
-      // cache, so even the exec fallback derives the golden state once per
-      // directory instead of once per shard.
-      flags.insert(flags.end(), {"--golden-cache", options.golden_cache});
-    }
+// The worker argv suffix for one dispatched sweep: every flag whose
+// `sweeps` mask covers it, with its canonical value (see Flag).
+std::vector<std::string> worker_sweep_flags(std::string_view sweep, const Options& options) {
+  const auto bit = 1U << (std::find(kSweeps.begin(), kSweeps.end(), sweep) - kSweeps.begin());
+  std::vector<std::string> flags;
+  for (const Flag& flag : kFlagTable) {
+    if ((flag.sweeps & bit) == 0) continue;
+    std::string value = flag.canonical(options);
+    if (!value.empty()) flags.insert(flags.end(), {std::string(flag.name), std::move(value)});
   }
   return flags;
 }
@@ -1101,17 +1114,15 @@ std::vector<std::string> worker_sweep_flags(std::string_view command, const Opti
 // Validates argv[2] as a dispatchable sweep for `cicmon <what> <sweep> ...`
 // (shared by dispatch and worker, which parse their sweep flags at argv[3]).
 std::string_view parse_sweep_subcommand(int argc, char** argv, const char* what) {
-  constexpr std::array<std::string_view, 5> kDispatchable = {"table1", "fig6", "blocks", "bench",
-                                                             "campaign"};
   if (argc < 3 || argv[2][0] == '-') {
     std::fprintf(stderr, "cicmon: %s needs a sweep subcommand (table1|fig6|blocks|bench|campaign)\n",
                  what);
     usage(2);
   }
   const std::string_view sub = argv[2];
-  if (std::find(kDispatchable.begin(), kDispatchable.end(), sub) == kDispatchable.end()) {
+  if (std::find(kSweeps.begin(), kSweeps.end(), sub) == kSweeps.end()) {
     std::fprintf(stderr, "cicmon: cannot %s '%s'%s\n", what, argv[2],
-                 did_you_mean(sub, kDispatchable).c_str());
+                 did_you_mean(sub, kSweeps).c_str());
     usage(2);
   }
   return sub;
@@ -1197,81 +1208,6 @@ int print_dispatch_plan(const exp::SweepSpec& spec, const dist::WorkerCommand& b
   return 0;
 }
 
-// Dispatch counterpart of write_campaign_json: the same cicmon-bench-v1
-// schema and "campaign" object, but the throughput is the whole dispatch
-// (orchestrator wall clock over all trials) and a nested "dispatch" object
-// reports the fleet telemetry — including the summed worker-measured shard
-// wall clock (the useful work) that an honest dispatch-tax number divides
-// by. Everything except the wall-clock figures is deterministic.
-int write_dispatch_campaign_json(const std::string& path, const Options& options,
-                                 const fault::CampaignRunner& runner,
-                                 const dist::DispatchResult& result, double wall_ms) {
-  support::JsonWriter json;
-  json.begin_object();
-  json.key("schema");
-  json.value("cicmon-bench-v1");
-  json.key("campaign");
-  json.begin_object();
-  json.key("workload");
-  json.value(options.workload);
-  json.key("scale");
-  json.value(options.scale);
-  json.key("site");
-  json.value(options.site);
-  json.key("bits");
-  json.value_u64(options.bits);
-  json.key("trials");
-  json.value_u64(options.trials);
-  json.key("seed");
-  json.value_u64(options.seed);
-  json.key("monitor");
-  json.value(options.monitor ? "on" : "off");
-  json.key("engine");
-  json.value(std::string(cpu::engine_name(cpu::default_engine())));
-  json.key("checkpoints");
-  json.value(runner.checkpoints_enabled() ? "on" : "off");
-  json.key("checkpoint_stride");
-  json.value_u64(runner.checkpoint_stride());
-  json.key("snapshots");
-  json.value_u64(runner.snapshot_count());
-  json.key("golden_instructions");
-  json.value_u64(runner.golden_instructions());
-  json.key("dispatch");
-  json.begin_object();
-  json.key("mode");
-  json.value(result.persistent ? "sessions" : "exec");
-  json.key("shards");
-  json.value_u64(result.shard_count);
-  json.key("reused");
-  json.value_u64(result.reused);
-  json.key("launched");
-  json.value_u64(result.launched);
-  json.key("retried");
-  json.value_u64(result.retried);
-  json.key("golden_shipped");
-  json.value_u64(result.golden_shipped);
-  json.key("golden_cached");
-  json.value_u64(result.golden_cached);
-  json.key("golden_derived");
-  json.value_u64(result.golden_derived);
-  json.key("worker_wall_ms");
-  json.value_u64(result.worker_wall_ms);
-  json.key("busy_ms");
-  json.value_u64(result.busy_ms);
-  json.key("queue_wait_ms");
-  json.value_u64(result.queue_wait_ms);
-  json.key("elapsed_ms");
-  json.value_u64(result.elapsed_ms);
-  json.end_object();
-  json.key("wall_ms");
-  json.value_fixed(wall_ms, 1);
-  json.key("trials_per_sec");
-  json.value_fixed(static_cast<double>(options.trials) / (wall_ms / 1000.0), 1);
-  json.end_object();
-  json.end_object();
-  return write_json_file(path, json.take());
-}
-
 // `cicmon dispatch <sweep> ...`: scale the sweep out over worker processes
 // via src/dist/, then merge and render through the same funnel as the direct
 // and `merge` paths — stdout is byte-identical to the direct invocation.
@@ -1292,8 +1228,7 @@ int cmd_dispatch(int argc, char** argv) {
   const SweepBundle bundle = make_sweep(sub, options);
 
   dist::WorkerCommand base;
-  base.argv.push_back(support::current_executable(argv[0]));
-  base.argv.emplace_back(sub);
+  base.argv = {support::current_executable(argv[0]), std::string(sub)};
   const std::vector<std::string> flags = worker_sweep_flags(sub, options);
   base.argv.insert(base.argv.end(), flags.begin(), flags.end());
   // Persistent sessions are the default; plan_dispatch falls back to
@@ -1301,9 +1236,7 @@ int cmd_dispatch(int argc, char** argv) {
   // (templates with per-item placeholders) or on an explicit
   // --exec-per-shard.
   if (!options.exec_per_shard) {
-    base.session_argv.push_back(base.argv.front());
-    base.session_argv.emplace_back("worker");
-    base.session_argv.emplace_back(sub);
+    base.session_argv = {base.argv.front(), "worker", std::string(sub)};
     base.session_argv.insert(base.session_argv.end(), flags.begin(), flags.end());
   }
 
@@ -1394,8 +1327,7 @@ int cmd_dispatch(int argc, char** argv) {
   const int code = render_cells(bundle.spec.sweep, bundle.spec.params, result.cells, options,
                                 /*bench_total_ms=*/-1.0);
   if (code == 0 && sub == "campaign" && !options.json_path.empty()) {
-    return write_dispatch_campaign_json(options.json_path, options, *bundle.keepalive, result,
-                                        wall_ms);
+    return write_campaign_json(options.json_path, options, *bundle.keepalive, wall_ms, &result);
   }
   return code;
 }
@@ -1415,17 +1347,10 @@ int run_command(int argc, char** argv, std::string_view command) {
   if (command == "worker") return cmd_worker(argc, argv);
   const Options options = parse_options(
       argc, argv, /*allow_positional=*/command == "merge" || command == "report");
-  if (command == "table1") return run_sweep_command(sim::table1_sweep(options.scale), options);
-  if (command == "fig6") {
-    return run_sweep_command(sim::fig6_sweep(options.entries, options.scale), options);
-  }
-  if (command == "blocks") {
-    return run_sweep_command(sim::blocks_sweep(options.capacities, options.scale), options);
-  }
-  if (command == "bench") {
-    return run_sweep_command(sim::bench_sweep(options.scale, options.best_of), options);
-  }
   if (command == "campaign") return cmd_campaign(options);
+  if (std::find(kSweeps.begin(), kSweeps.end(), command) != kSweeps.end()) {
+    return run_sweep_command(make_sweep(command, options).spec, options);
+  }
   if (command == "merge") return cmd_merge(options);
   if (command == "report") return cmd_report(options);
   if (command == "workloads") return cmd_workloads();
@@ -1444,17 +1369,8 @@ int emit_metrics_summary() {
   const std::string text = g_metrics_mode == "json"
                                ? obs::render_metrics_json(snap, g_command)
                                : obs::render_metrics_table(snap);
-  if (g_metrics_out.empty()) {
-    std::fputs(text.c_str(), stderr);
-    return 0;
-  }
-  std::FILE* out = std::fopen(g_metrics_out.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cicmon: cannot write metrics to '%s'\n", g_metrics_out.c_str());
-    return 1;
-  }
-  std::fwrite(text.data(), 1, text.size(), out);
-  std::fclose(out);
+  if (!g_metrics_out.empty()) return write_text_file(g_metrics_out, text, "metrics");
+  std::fputs(text.c_str(), stderr);
   return 0;
 }
 

@@ -36,7 +36,9 @@ std::string temp_name(std::uint8_t t) {
     case MonitorTemps::kHashV: return "hashv";
     case MonitorTemps::kFound: return "found";
     case MonitorTemps::kMatch: return "match";
-    default: return "t" + std::to_string(t);
+    // append() rather than `"t" + ...`: GCC 12 reports a false -Wrestrict on
+    // operator+(const char*, std::string&&).
+    default: return std::string("t").append(std::to_string(t));
   }
 }
 
@@ -76,8 +78,11 @@ const char* sel_name(GprSel sel) {
 std::string guard_prefix(const Uop& op) {
   switch (op.guard) {
     case GuardKind::kAlways: return "";
-    case GuardKind::kIfZero: return "[" + temp_name(op.guard_tmp) + "==0]";
-    case GuardKind::kIfNonZero: return "[" + temp_name(op.guard_tmp) + "!=0]";
+    // append() for the same GCC 12 -Wrestrict false positive as temp_name.
+    case GuardKind::kIfZero:
+      return std::string("[").append(temp_name(op.guard_tmp)).append("==0]");
+    case GuardKind::kIfNonZero:
+      return std::string("[").append(temp_name(op.guard_tmp)).append("!=0]");
   }
   return "";
 }

@@ -18,15 +18,19 @@
 // direct run's cells. The Cli.* tests run the real `cicmon dispatch` binary
 // end to end and byte-diff its stdout against the direct run with golden
 // shipping on, off, cached, and sabotaged. (CI repeats that over a
-// multi-host-style template transport.)
+// multi-host-style template transport.) They also pin the CLI's flag table:
+// the strict value grammar, every flag the help screen prints, did-you-mean
+// suggestions, the flags dispatch forwards, and the golden-cache key names.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -844,6 +848,119 @@ TEST(Cli, WorkerKilledMidGoldenChunkIsReplacedAndStillMergesByteIdentical) {
   EXPECT_EQ(read_file(dir + "/killed.txt"), read_file(dir + "/direct.txt"));
   EXPECT_TRUE(std::filesystem::exists(dir + "/markers/golden"))
       << read_file(dir + "/killed.err");
+}
+
+// --- the flag table: grammar, help, suggestions, forwarding, golden key ----
+
+// Runs `cicmon <args>` with stderr captured; returns the exit code.
+int run_cli_capturing(const std::string& args, const std::string& err_path) {
+  return support::spawn_process({"/bin/sh", "-c",
+                                 std::string(CICMON_CLI_PATH) + " " + args + " > /dev/null 2> " +
+                                     err_path})
+      .wait();
+}
+
+TEST(Cli, MalformedFlagValuesAreUsageErrors) {
+  const std::string dir = make_test_dir("cli_grammar");
+  const std::string err = dir + "/err.txt";
+  // `workloads` parses the common flags and then does nothing with them, so
+  // an accepted value shows up as exit 0.
+  for (const char* bad : {"--scale nan", "--scale inf", "--scale 1x", "--scale 0",
+                          "--seed foo", "--seed 12abc", "--checkpoint-stride -1",
+                          "--jobs ''", "--timeout nan", "--trials 5x"}) {
+    const int status = run_cli_capturing(std::string("workloads ") + bad, err);
+    EXPECT_EQ(support::describe_exit(status), "exit code 2") << bad << ": " << read_file(err);
+    EXPECT_NE(read_file(err).find("usage: cicmon"), std::string::npos) << bad;
+  }
+  for (const char* good : {"--scale 0.5", "--scale 1e-1", "--seed 12", "--checkpoint-stride 0",
+                           "--jobs 2", "--timeout 0"}) {
+    EXPECT_TRUE(support::exit_ok(run_cli_capturing(std::string("workloads ") + good, err)))
+        << good << ": " << read_file(err);
+  }
+}
+
+TEST(Cli, EveryFlagInTheHelpScreenIsAccepted) {
+  const std::string dir = make_test_dir("cli_help");
+  ASSERT_TRUE(support::exit_ok(
+      run_cli(std::string(CICMON_CLI_PATH) + " help > " + dir + "/help.txt")));
+  // A sample value per metavar; an enumerated metavar ("on|off") takes its
+  // first alternative.
+  const std::vector<std::pair<std::string, std::string>> samples = {
+      {"S", "0.5"},    {"N", "1"},         {"X", "7"},        {"B", "2"},
+      {"K", "1"},      {"R", "0"},         {"SEC", "5"},      {"W", "bitcount"},
+      {"NAME", "fetch-bus"}, {"A,B,..", "1,8"}, {"I/N", "1/2"}, {"T", "'env {cmd}'"},
+      {"FILE", dir + "/trace.jsonl"}, {"PATH", dir + "/out"}, {"DIR", dir + "/d"}};
+  std::istringstream help(read_file(dir + "/help.txt"));
+  std::size_t flags = 0;
+  for (std::string line; std::getline(help, line);) {
+    if (!line.starts_with("  --")) continue;
+    // "  --flag [METAVAR]" ends at the two-space gap before the help column.
+    const std::string head = line.substr(2, line.find("  ", 2) - 2);
+    const std::size_t space = head.find(' ');
+    const std::string flag = head.substr(0, space);
+    std::string value;
+    if (space != std::string::npos) {
+      const std::string metavar = head.substr(space + 1);
+      value = metavar.substr(0, metavar.find('|'));
+      if (value == metavar) {
+        const auto sample = std::find_if(samples.begin(), samples.end(),
+                                         [&](const auto& s) { return s.first == metavar; });
+        ASSERT_NE(sample, samples.end()) << "no sample value for " << head;
+        value = sample->second;
+      }
+    }
+    const std::string err = dir + "/err.txt";
+    EXPECT_TRUE(support::exit_ok(run_cli_capturing("workloads " + flag + " " + value, err)))
+        << head << " with '" << value << "': " << read_file(err);
+    ++flags;
+  }
+  EXPECT_GE(flags, 30U);
+}
+
+TEST(Cli, MistypedFlagsGetDidYouMeanSuggestions) {
+  const std::string dir = make_test_dir("cli_typo");
+  const std::string err = dir + "/err.txt";
+  for (const auto& [typo, flag] : std::vector<std::pair<std::string, std::string>>{
+           {"--trails 5", "--trials"}, {"--chekpoints on", "--checkpoints"}}) {
+    EXPECT_EQ(support::describe_exit(run_cli_capturing("campaign " + typo, err)), "exit code 2")
+        << typo;
+    EXPECT_NE(read_file(err).find("did you mean '" + flag + "'?"), std::string::npos)
+        << typo << ": " << read_file(err);
+  }
+}
+
+TEST(Cli, DispatchForwardsNonDefaultEntryAndCapacityLists) {
+  const std::string dir = make_test_dir("cli_lists");
+  const std::string cli = CICMON_CLI_PATH;
+  for (const std::string sweep : {"fig6 --scale 0.02 --entries 1,4",
+                                  "blocks --scale 0.02 --capacities 2,16"}) {
+    const std::string tag = sweep.substr(0, sweep.find(' '));
+    ASSERT_TRUE(support::exit_ok(
+        run_cli(cli + " " + sweep + " > " + dir + "/" + tag + ".direct 2>/dev/null")));
+    ASSERT_TRUE(support::exit_ok(run_cli(cli + " dispatch " + sweep +
+                                         " --workers 2 --shards 3 --jobs 1 --quiet --dir " +
+                                         dir + "/" + tag + " > " + dir + "/" + tag +
+                                         ".dispatched 2>/dev/null")));
+    const std::string direct = read_file(dir + "/" + tag + ".direct");
+    EXPECT_FALSE(direct.empty());
+    EXPECT_EQ(read_file(dir + "/" + tag + ".dispatched"), direct) << sweep;
+  }
+}
+
+// The golden key hashes the campaign-shaping flags in flag-table order.
+// Existing --golden-cache directories hold files under these names, so any
+// change to a field name, value spelling or order orphans them.
+TEST(Cli, GoldenCacheFileNamesArePinned) {
+  const std::string dir = make_test_dir("cli_golden_key");
+  const std::string cli = CICMON_CLI_PATH;
+  for (const auto& [extra, name] : std::vector<std::pair<std::string, std::string>>{
+           {"", "a5b74646e8b170ee.golden"},
+           {" --checkpoint-stride 97 --monitor off", "b248f691aa10bac0.golden"}}) {
+    const std::string cache = dir + "/cache-" + name;
+    ASSERT_TRUE(support::exit_ok(run_cli(cli + " campaign" + campaign_flags() + extra +
+                                         " --golden-cache " + cache + " > /dev/null 2>&1")));
+    EXPECT_TRUE(std::filesystem::exists(cache + "/" + name)) << extra;
+  }
 }
 
 TEST(Dispatch, PlanResolvesCountsAndSessionMode) {
