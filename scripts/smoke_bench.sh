@@ -189,15 +189,12 @@ if [[ -x ${build_dir}/cicmon ]]; then
   rm -rf "${telem_dir}"
 fi
 
-# Dispatch must reproduce the direct run byte for byte in every mode —
-# persistent worker sessions with golden-state shipping (the default),
-# sessions with shipping off (every worker derives locally), and the
-# exec-per-shard fallback — and merge must accept the artifact directory.
-# The wall-clock overhead vs the direct run is the dispatch tax; set
-# CICMON_DISPATCH_BENCH_JSON=path to record all modes (the BENCH_PR8.json
-# trajectory artifact; sessions amortise the per-shard spawn that dominated
-# BENCH_PR4's exec numbers, and shipping removes the per-worker golden run
-# that dominated BENCH_PR5's session numbers).
+# Dispatch over persistent worker sessions (with golden-state shipping) must
+# reproduce the direct run byte for byte, and merge must accept the artifact
+# directory. The wall-clock overhead vs the direct run is the dispatch tax;
+# set CICMON_DISPATCH_BENCH_JSON=path to record it (the BENCH_PR8.json
+# trajectory artifact; shipping removes the per-worker golden run that
+# dominated BENCH_PR5's session numbers).
 if [[ -x ${build_dir}/cicmon ]]; then
   echo "--- cicmon dispatch"
   dispatch_dir=$(mktemp -d)
@@ -209,21 +206,9 @@ if [[ -x ${build_dir}/cicmon ]]; then
     --workers 3 --shards 7 --dir "${dispatch_dir}/shards" --quiet \
     2> "${dispatch_dir}/sessions.err" > "${dispatch_dir}/sessions.txt"
   t2=$(date +%s%3N)
-  "${build_dir}/cicmon" dispatch campaign --workload bitcount --scale 0.02 --trials 200 \
-    --workers 3 --shards 7 --dir "${dispatch_dir}/shards-noship" --ship-golden off --quiet \
-    2> /dev/null > "${dispatch_dir}/noship.txt"
-  t3=$(date +%s%3N)
-  "${build_dir}/cicmon" dispatch campaign --workload bitcount --scale 0.02 --trials 200 \
-    --workers 3 --shards 7 --dir "${dispatch_dir}/shards-exec" --exec-per-shard --quiet \
-    2> /dev/null > "${dispatch_dir}/exec.txt"
-  t4=$(date +%s%3N)
   direct_ms=$((t1 - t0))
   session_ms=$((t2 - t1))
-  noship_ms=$((t3 - t2))
-  exec_ms=$((t4 - t3))
   if ! diff "${dispatch_dir}/direct.txt" "${dispatch_dir}/sessions.txt" ||
-     ! diff "${dispatch_dir}/direct.txt" "${dispatch_dir}/noship.txt" ||
-     ! diff "${dispatch_dir}/direct.txt" "${dispatch_dir}/exec.txt" ||
      ! "${build_dir}/cicmon" merge "${dispatch_dir}/shards" > "${dispatch_dir}/merged.txt" ||
      ! diff "${dispatch_dir}/direct.txt" "${dispatch_dir}/merged.txt"; then
     echo "--- cicmon dispatch: output differs from the direct run" >&2
@@ -233,11 +218,11 @@ if [[ -x ${build_dir}/cicmon ]]; then
     cat "${dispatch_dir}/sessions.err" >&2
     failures=$((failures + 1))
   else
-    echo "    direct ${direct_ms} ms, sessions ${session_ms} ms (ship-golden off ${noship_ms} ms), exec-per-shard ${exec_ms} ms (3 workers, 7 shards)"
+    echo "    direct ${direct_ms} ms, sessions ${session_ms} ms (3 workers, 7 shards)"
     if [[ -n ${CICMON_DISPATCH_BENCH_JSON:-} ]]; then
-      printf '{\n  "schema": "cicmon-dispatch-bench-v4",\n  "command": "cicmon dispatch campaign --workload bitcount --scale 0.02 --trials 200 --workers 3 --shards 7",\n  "direct_ms": %s,\n  "session_ms": %s,\n  "session_noship_ms": %s,\n  "exec_ms": %s,\n  "telemetry_off_ms": %s,\n  "telemetry_on_ms": %s\n}\n' \
-        "${direct_ms}" "${session_ms}" "${noship_ms}" "${exec_ms}" \
-        "${telemetry_off_ms}" "${telemetry_on_ms}" > "${CICMON_DISPATCH_BENCH_JSON}"
+      printf '{\n  "schema": "cicmon-dispatch-bench-v5",\n  "command": "cicmon dispatch campaign --workload bitcount --scale 0.02 --trials 200 --workers 3 --shards 7",\n  "direct_ms": %s,\n  "session_ms": %s,\n  "telemetry_off_ms": %s,\n  "telemetry_on_ms": %s\n}\n' \
+        "${direct_ms}" "${session_ms}" "${telemetry_off_ms}" "${telemetry_on_ms}" \
+        > "${CICMON_DISPATCH_BENCH_JSON}"
     fi
   fi
   # The --dry-run plan must print the grid without creating anything.

@@ -14,7 +14,6 @@
 #include "obs/trace.h"
 #include "support/error.h"
 #include "support/parallel.h"
-#include "support/subprocess.h"
 
 namespace cicmon::dist {
 namespace {
@@ -22,12 +21,11 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 // The merge-time artifact checks, applied per item the moment its worker
-// acks (session mode) or exits (exec mode): the file must decode as a
-// cicmon-shard-v1 document (catching truncation and tampering) and match
-// (spec, shard) exactly (catching a transport that ran the wrong command).
-// On success the decoded artifact is handed to `out` so the merge never
-// re-reads the file; on failure `why` reports the violation for the retry
-// log.
+// acks: the file must decode as a cicmon-shard-v1 document (catching
+// truncation and tampering) and match (spec, shard) exactly (catching a
+// transport that ran the wrong command). On success the decoded artifact is
+// handed to `out` so the merge never re-reads the file; on failure `why`
+// reports the violation for the retry log.
 bool artifact_is_valid(const std::string& path, const exp::SweepSpec& spec,
                        const exp::Shard& shard, exp::ShardArtifact* out, std::string* why) {
   try {
@@ -75,9 +73,7 @@ Clock::time_point deadline_after(double seconds) {
 }
 
 // Shared mutable state of one dispatch run: the queue, the streaming merge,
-// and the counters both execution modes report through. Owning it in one
-// struct keeps the session and exec loops honest about going through the
-// same completion/retry funnel.
+// and the counters the result reports.
 struct RunState {
   const exp::SweepSpec& spec;
   const DispatchConfig& config;
@@ -137,7 +133,7 @@ struct RunState {
 
   // Books one finished assignment into the telemetry: timers, totals, and
   // the dispatch.shard trace span. `run_ms` is the orchestrator-observed
-  // assignment wall; `wall_ms` the worker-measured one (equal in exec mode).
+  // assignment wall; `wall_ms` the worker-measured one.
   void observe_assignment(const WorkItem& item, std::uint64_t worker_id,
                           std::uint64_t assign_t_us, double queue_wait_ms, double run_ms,
                           std::uint64_t wall_ms, bool reused) {
@@ -162,101 +158,6 @@ struct RunState {
   }
 };
 
-// --- exec-per-shard mode (PR 4's loop, kept as the template-transport and
-// --exec-per-shard fallback) ----------------------------------------------
-
-struct RunningExec {
-  WorkItem item;
-  support::ChildProcess child;
-  Clock::time_point deadline;
-  Clock::time_point started;
-  std::uint64_t worker_id = 0;   // launch ordinal, stable across the run
-  std::uint64_t assign_t_us = 0; // trace clock at launch
-  double queue_wait_ms = 0.0;
-};
-
-void run_exec(RunState& state, const WorkerCommand& base, Transport& transport) {
-  std::vector<RunningExec> running;
-  running.reserve(state.plan.workers);
-
-  while (true) {
-    // Fill free worker slots from the queue — the pull half of the load
-    // balancing.
-    while (running.size() < state.plan.workers) {
-      WorkItem item;
-      if (!state.queue.try_pop(&item)) break;
-      WorkerCommand command = base;
-      command.argv = exec_worker_argv(base, state.plan.jobs, item, state.config.force);
-      support::ChildProcess child;
-      try {
-        child = transport.launch(command, item);
-      } catch (const support::CicError& error) {
-        state.fail_or_retry(std::move(item), std::string("launch failed: ") + error.what());
-        continue;
-      }
-      ++state.result.launched;
-      RunningExec slot{std::move(item), std::move(child),
-                       deadline_after(state.config.timeout_seconds), Clock::now()};
-      slot.worker_id = state.result.launched;
-      slot.assign_t_us = obs::trace_now_us();
-      slot.queue_wait_ms = ms_since(slot.item.enqueued_at);
-      running.push_back(std::move(slot));
-    }
-    if (running.empty() && state.queue.pending() == 0) break;
-
-    // Poll the fleet. The exit status only reports worker/transport health;
-    // the artifact is the real output, so it is validated either way — a
-    // worker killed after its atomic artifact rename still counts as done,
-    // and a clean exit with a bad artifact is still a failed attempt.
-    bool reaped = false;
-    for (std::size_t i = 0; i < running.size();) {
-      RunningExec& slot = running[i];
-      int status = 0;
-      bool exited = slot.child.poll(&status);
-      bool timed_out = false;
-      if (!exited && Clock::now() >= slot.deadline) {
-        // SIGTERM first so an ssh-style wrapper can forward the kill to the
-        // remote worker; SIGKILL only after the grace period (transport.h
-        // documents what each signal can reach).
-        status = slot.child.terminate_gracefully(state.config.shutdown_grace);
-        exited = true;
-        timed_out = true;
-      }
-      if (!exited) {
-        ++i;
-        continue;
-      }
-      reaped = true;
-      WorkItem item = std::move(slot.item);
-      const double run_ms = ms_since(slot.started);
-      const std::uint64_t worker_id = slot.worker_id;
-      const std::uint64_t assign_t_us = slot.assign_t_us;
-      const double queue_wait_ms = slot.queue_wait_ms;
-      running.erase(running.begin() + static_cast<std::ptrdiff_t>(i));
-      std::string why;
-      exp::ShardArtifact artifact;
-      if (artifact_is_valid(item.artifact_path, state.spec, item.shard, &artifact, &why)) {
-        state.observe_assignment(item, worker_id, assign_t_us, queue_wait_ms, run_ms,
-                                 static_cast<std::uint64_t>(run_ms), /*reused=*/false);
-        state.result.worker_wall_ms += static_cast<std::uint64_t>(run_ms);
-        state.complete(item, std::move(artifact), /*counts_as_computed=*/true, running.size());
-      } else {
-        std::string reason =
-            timed_out ? "timed out after " + std::to_string(state.config.timeout_seconds) +
-                            "s (" + support::describe_exit(status) + ")"
-                      : "worker " + support::describe_exit(status);
-        state.fail_or_retry(std::move(item), reason + "; " + why);
-      }
-    }
-    if (!reaped) {
-      state.progress(false, running.size());
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-  }
-}
-
-// --- persistent-session mode ----------------------------------------------
-
 // One fleet slot: the session plus the orchestrator-side telemetry of its
 // current assignment (the session itself only knows protocol state).
 struct SessionSlot {
@@ -267,9 +168,8 @@ struct SessionSlot {
   double queue_wait_ms = 0.0;      // the current assignment's queue wait
 };
 
-void run_sessions(RunState& state, const WorkerCommand& base, Transport& transport) {
-  WorkerCommand command = base;
-  command.session_argv = session_worker_argv(base, state.plan.jobs);
+void run_sessions(RunState& state, const WorkerCommand& base, const Transport& transport) {
+  const std::vector<std::string> argv = session_worker_argv(base, state.plan.jobs);
   std::vector<SessionSlot> sessions;
   sessions.reserve(state.plan.workers);
   // A session that dies before completing a handshake is not tied to any
@@ -314,7 +214,7 @@ void run_sessions(RunState& state, const WorkerCommand& base, Transport& transpo
       try {
         SessionSlot slot;
         slot.session = std::make_unique<WorkerSession>(
-            transport.launch_session(command), state.config.golden.get(),
+            transport.launch(argv), state.config.golden.get(),
             deadline_after(state.config.timeout_seconds), state.config.shutdown_grace);
         ++state.result.launched;
         slot.worker_id = state.result.launched;
@@ -453,8 +353,7 @@ std::string shard_artifact_path(const std::string& dir, const std::string& sweep
          std::to_string(shard.count) + ".shard.json";
 }
 
-DispatchPlan plan_dispatch(const exp::SweepSpec& spec, const WorkerCommand& base,
-                           const Transport& transport, const DispatchConfig& config) {
+DispatchPlan plan_dispatch(const exp::SweepSpec& spec, const DispatchConfig& config) {
   support::check(spec.cells > 0, "dispatch needs a sweep with at least one cell");
   DispatchPlan plan;
   plan.workers = config.workers != 0 ? config.workers : support::resolve_jobs(0);
@@ -470,32 +369,19 @@ DispatchPlan plan_dispatch(const exp::SweepSpec& spec, const WorkerCommand& base
   plan.jobs = config.jobs_per_worker != 0
                   ? config.jobs_per_worker
                   : std::max(1U, support::resolve_jobs(0) / std::max(1U, plan.workers));
-  plan.persistent =
-      config.persistent && !base.session_argv.empty() && transport.supports_sessions();
   return plan;
 }
 
-std::vector<std::string> exec_worker_argv(const WorkerCommand& base, unsigned jobs,
-                                          const WorkItem& item, bool force) {
-  std::vector<std::string> argv = base.argv;
-  argv.insert(argv.end(),
-              {"--jobs", std::to_string(jobs), "--shard",
-               std::to_string(item.shard.index) + "/" + std::to_string(item.shard.count),
-               "--out", item.artifact_path});
-  if (force) argv.emplace_back("--force");
-  return argv;
-}
-
 std::vector<std::string> session_worker_argv(const WorkerCommand& base, unsigned jobs) {
-  std::vector<std::string> argv = base.session_argv;
+  std::vector<std::string> argv = base.argv;
   argv.insert(argv.end(), {"--jobs", std::to_string(jobs)});
   return argv;
 }
 
 DispatchResult dispatch_sweep(const exp::SweepSpec& spec, const WorkerCommand& base,
-                              Transport& transport, const DispatchConfig& config) {
+                              const Transport& transport, const DispatchConfig& config) {
   support::check(!base.argv.empty(), "dispatch needs a worker command");
-  const DispatchPlan plan = plan_dispatch(spec, base, transport, config);
+  const DispatchPlan plan = plan_dispatch(spec, config);
 
   const std::string dir = config.artifact_dir.empty() ? std::string(".") : config.artifact_dir;
   std::error_code ec;
@@ -505,11 +391,10 @@ DispatchResult dispatch_sweep(const exp::SweepSpec& spec, const WorkerCommand& b
 
   DispatchResult result;
   result.shard_count = plan.shards;
-  result.persistent = plan.persistent;
 
   RunState state(spec, config, plan, result);
   // Resume pre-pass: shards whose artifacts already validate merge before
-  // any worker or session is spawned, so a fully-resumed campaign costs zero
+  // any session is spawned, so a fully-resumed campaign costs zero
   // process launches and a partially-resumed one sizes its fleet to the work
   // actually left.
   for (unsigned i = 1; i <= plan.shards; ++i) {
@@ -528,13 +413,7 @@ DispatchResult dispatch_sweep(const exp::SweepSpec& spec, const WorkerCommand& b
     }
   }
 
-  if (state.queue.pending() > 0) {
-    if (plan.persistent) {
-      run_sessions(state, base, transport);
-    } else {
-      run_exec(state, base, transport);
-    }
-  }
+  if (state.queue.pending() > 0) run_sessions(state, base, transport);
   state.progress(true, 0);
 
   result.elapsed_ms = static_cast<std::uint64_t>(ms_since(state.start));

@@ -220,9 +220,9 @@ class WorkerSession {
     std::vector<std::pair<std::string, std::uint64_t>> metrics;
   };
 
-  // Adopts a worker spawned with piped stdin/stdout (Transport::
-  // launch_session). `golden` may be null or empty; when it matches the
-  // worker's hello key the shipment is offered and its frames streamed.
+  // Adopts a worker spawned with piped stdin/stdout (Transport::launch).
+  // `golden` may be null or empty; when it matches the worker's hello key
+  // the shipment is offered and its frames streamed.
   // `deadline` bounds the whole handshake, hello through ready — the
   // derivation a declining worker performs is the expensive half, so the
   // caller passes its per-item timeout. `grace_seconds` is the

@@ -4,76 +4,30 @@
 
 namespace cicmon::dist {
 
-support::ChildProcess LocalProcessTransport::launch(const WorkerCommand& command,
-                                                    const WorkItem&) {
-  return support::spawn_process(command.argv);
-}
-
-support::ChildProcess LocalProcessTransport::launch_session(const WorkerCommand& command) {
-  support::check(!command.session_argv.empty(), "launch_session without a session command");
-  return support::spawn_process_piped(command.session_argv);
-}
-
-CommandTemplateTransport::CommandTemplateTransport(std::string template_text)
-    : template_text_(std::move(template_text)) {
+Transport::Transport(std::string template_text) : template_text_(std::move(template_text)) {
+  if (template_text_.empty()) return;
   support::check(template_text_.find("{cmd}") != std::string::npos,
                  "--transport template must contain the {cmd} placeholder");
+  support::check(template_text_.find("{shard}") == std::string::npos &&
+                     template_text_.find("{out}") == std::string::npos,
+                 "--transport templates take only {cmd}; to launch one process per shard, run "
+                 "'cicmon <sweep> --shard I/N --out PATH' under your scheduler and combine the "
+                 "artifacts with 'cicmon merge'");
 }
 
-std::string CommandTemplateTransport::expand(std::string_view template_text,
-                                             const WorkerCommand& command,
-                                             const WorkItem& item) {
-  const std::string shard_text =
-      std::to_string(item.shard.index) + "/" + std::to_string(item.shard.count);
-  std::string expanded;
-  expanded.reserve(template_text.size());
-  std::size_t pos = 0;
-  while (pos < template_text.size()) {
-    const std::size_t brace = template_text.find('{', pos);
-    expanded.append(template_text.substr(pos, brace - pos));
-    if (brace == std::string_view::npos) break;
-    const std::string_view rest = template_text.substr(brace);
-    if (rest.starts_with("{cmd}")) {
-      expanded += support::shell_join(command.argv);
-      pos = brace + 5;
-    } else if (rest.starts_with("{shard}")) {
-      expanded += shard_text;
-      pos = brace + 7;
-    } else if (rest.starts_with("{out}")) {
-      expanded += support::shell_quote(item.artifact_path);
-      pos = brace + 5;
-    } else {
-      expanded += '{';
-      pos = brace + 1;
-    }
+support::ChildProcess Transport::launch(const std::vector<std::string>& argv) const {
+  if (template_text_.empty()) return support::spawn_process_piped(argv);
+  const std::string command = support::shell_join(argv);
+  std::string expanded = template_text_;
+  for (std::size_t pos = 0; (pos = expanded.find("{cmd}", pos)) != std::string::npos;
+       pos += command.size()) {
+    expanded.replace(pos, 5, command);
   }
-  return expanded;
+  return support::spawn_process_piped({"/bin/sh", "-c", expanded});
 }
 
-support::ChildProcess CommandTemplateTransport::launch(const WorkerCommand& command,
-                                                       const WorkItem& item) {
-  return support::spawn_process({"/bin/sh", "-c", expand(template_text_, command, item)});
-}
-
-support::ChildProcess CommandTemplateTransport::launch_session(const WorkerCommand& command) {
-  support::check(supports_sessions(), "template transport cannot carry a session");
-  support::check(!command.session_argv.empty(), "launch_session without a session command");
-  // The wrapper (sh, and whatever the template puts between it and the
-  // worker — ssh, a container runner) forwards stdio, so the orchestrator's
-  // pipe ends at the worker process wherever it runs.
-  WorkerCommand session;
-  session.argv = command.session_argv;
-  return support::spawn_process_piped(
-      {"/bin/sh", "-c", expand(template_text_, session, WorkItem{})});
-}
-
-bool CommandTemplateTransport::supports_sessions() const {
-  return template_text_.find("{shard}") == std::string::npos &&
-         template_text_.find("{out}") == std::string::npos;
-}
-
-std::string CommandTemplateTransport::describe() const {
-  return "template '" + template_text_ + "'";
+std::string Transport::describe() const {
+  return template_text_.empty() ? "local" : "template '" + template_text_ + "'";
 }
 
 }  // namespace cicmon::dist

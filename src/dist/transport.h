@@ -1,36 +1,25 @@
-// How dispatch work items become worker processes.
+// How dispatch starts its persistent worker sessions.
 //
-// The orchestrator decides *what* to run; a Transport decides *where and
-// how* it runs. Two implementations ship:
+// The orchestrator decides *what* to run; a Transport decides *where*. It
+// holds an optional shell template:
 //
-//  * LocalProcessTransport — exec the worker argv directly on this host.
-//    With the default nproc-sized worker pool this is the single-machine
-//    scale-out path.
-//  * CommandTemplateTransport — expand a user-supplied shell template and
-//    run it via `/bin/sh -c`. The template receives `{cmd}` (the shell-
-//    quoted worker command) and, in exec-per-shard mode, `{shard}` ("I/N")
-//    and `{out}` (the artifact path) — enough to wrap the worker in ssh, a
-//    cluster submit command, a container runner, or a fault-injecting test
-//    harness:
+//  * empty — exec the worker argv directly on this host. With the default
+//    nproc-sized worker pool this is the single-machine scale-out path.
+//  * non-empty — run the template via `/bin/sh -c` with every `{cmd}`
+//    replaced by the shell-quoted worker command; enough to wrap the worker
+//    in ssh, a container runner, or a fault-injecting test harness:
 //
 //        --transport 'ssh build-02 cd /repo \&\& {cmd}'
-//        --transport 'scripts/flaky.sh {shard} {cmd}'
 //
-// Both transports serve both dispatch modes. launch() starts one
-// exec-per-shard worker whose exit ends the attempt. launch_session()
-// starts a *persistent* worker with piped stdin/stdout and hands the pipe
-// to the orchestrator, which speaks the session protocol (dist/session.h)
-// over it — for a template transport the wrapper (sh, ssh, a container
-// runner) simply forwards stdio, which is exactly what ssh and every
-// sane submit wrapper do, so a multi-host fleet gets persistent sessions
-// and golden-state shipping for free. A template that bakes in `{shard}`
-// or `{out}` is inherently per-item, so supports_sessions() is false for
-// it and dispatch falls back to exec-per-shard.
-//
-// A transport's child exit status reports only worker/transport health; the
-// artifact on disk is the real output and the orchestrator validates it
-// separately (a clean exit with a corrupt artifact is still a failed
-// attempt).
+// Either way the child's stdin and stdout are pipes, and the orchestrator
+// speaks the session protocol (dist/session.h) over them. A wrapper (sh,
+// ssh, a container runner) simply forwards stdio, which is exactly what ssh
+// and every sane submit wrapper do, so a multi-host fleet gets persistent
+// sessions and golden-state shipping for free. A scheduler that cannot
+// forward stdio has no place here: run `cicmon <sweep> --shard I/N --out
+// PATH` per shard under it and aggregate with `cicmon merge`. A template
+// with per-shard `{shard}`/`{out}` placeholders is meant for such a
+// scheduler, so it is rejected with a pointer to that route.
 //
 // Remote-kill caveat: on timeout/teardown the orchestrator signals the
 // *local* child — the ssh client or submit wrapper, not a remote process it
@@ -38,82 +27,40 @@
 // (--shutdown-grace semantics in support::ChildProcess::terminate_gracefully)
 // precisely so a wrapper that forwards signals (ssh -tt, a shell trap) can
 // propagate the kill; once the grace expires SIGKILL follows, and SIGKILL is
-// not forwardable — a remote worker whose wrapper was SIGKILLed keeps
-// running until it finishes or its host reaps it. Its artifact, if any,
-// is simply ignored or re-validated on the next resume. A session worker is
-// better off: its stdin is the orchestrator's pipe, so teardown's stdin EOF
-// reaches the far end of an ssh hop even though signals may not.
+// not forwardable. The session's stdin is the orchestrator's pipe, though,
+// so teardown's stdin EOF reaches the far end of an ssh hop even when
+// signals do not; an orphaned remote worker's artifact, if any, is simply
+// re-validated on the next resume.
 #pragma once
 
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "dist/work_queue.h"
 #include "support/subprocess.h"
 
 namespace cicmon::dist {
 
-// The worker invocations dispatch can launch. `argv` is the exec-per-shard
-// prefix: the orchestrator appends `--jobs/--shard/--out` per item, so a
-// worker is indistinguishable from a hand-launched sharded run.
-// `session_argv`, when non-empty, is the persistent-session command
-// (`cicmon worker <cmd> <sweep flags> --jobs N`, complete — launch_session
-// appends nothing); the orchestrator streams shard assignments over the
-// process's stdin (dist/session.h). Leave it empty to force exec-per-shard.
+// The persistent-session command dispatch launches per worker slot:
+// `cicmon worker <sweep> <sweep flags>`; the orchestrator appends `--jobs N`
+// (session_worker_argv) and streams shard assignments over the process's
+// stdin.
 struct WorkerCommand {
   std::vector<std::string> argv;
-  std::vector<std::string> session_argv;
 };
 
 class Transport {
  public:
-  virtual ~Transport() = default;
+  // Throws CicError when a non-empty template lacks `{cmd}` (a transport
+  // that never runs the worker cannot serve a session) or uses `{shard}` or
+  // `{out}` (per-shard launches belong to `--shard/--out` plus merge).
+  explicit Transport(std::string template_text = "");
 
-  // Starts the exec-per-shard worker for `item`. Throws CicError when the
-  // process cannot even be started (the orchestrator counts that as a
-  // failed attempt).
-  virtual support::ChildProcess launch(const WorkerCommand& command,
-                                       const WorkItem& item) = 0;
+  // Starts one worker with piped stdin/stdout. Throws CicError when the
+  // process cannot be started; an exec failure makes the child exit 127.
+  support::ChildProcess launch(const std::vector<std::string>& argv) const;
 
-  // Starts a persistent session worker with piped stdin/stdout
-  // (command.session_argv must be non-empty). Only called when
-  // supports_sessions() is true. Throws CicError on spawn failure.
-  virtual support::ChildProcess launch_session(const WorkerCommand& command) = 0;
-
-  // True when this transport can carry the session protocol — i.e. its
-  // children's stdio reaches the worker process.
-  virtual bool supports_sessions() const = 0;
-
-  // One-line description for progress/failure reports ("local", "template
-  // 'ssh ...'").
-  virtual std::string describe() const = 0;
-};
-
-class LocalProcessTransport final : public Transport {
- public:
-  support::ChildProcess launch(const WorkerCommand& command, const WorkItem& item) override;
-  support::ChildProcess launch_session(const WorkerCommand& command) override;
-  bool supports_sessions() const override { return true; }
-  std::string describe() const override { return "local"; }
-};
-
-class CommandTemplateTransport final : public Transport {
- public:
-  // Throws CicError when the template lacks the `{cmd}` placeholder — a
-  // transport that never runs the worker command cannot produce artifacts.
-  explicit CommandTemplateTransport(std::string template_text);
-
-  support::ChildProcess launch(const WorkerCommand& command, const WorkItem& item) override;
-  support::ChildProcess launch_session(const WorkerCommand& command) override;
-  // Per-item placeholders pin the template to exec-per-shard.
-  bool supports_sessions() const override;
-  std::string describe() const override;
-
-  // Placeholder expansion, exposed for tests: every occurrence of `{cmd}`,
-  // `{shard}`, and `{out}` is substituted; other text passes through.
-  static std::string expand(std::string_view template_text, const WorkerCommand& command,
-                            const WorkItem& item);
+  // "local", or "template '<text>'", for progress and failure reports.
+  std::string describe() const;
 
  private:
   std::string template_text_;

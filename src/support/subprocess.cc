@@ -101,21 +101,6 @@ int ChildProcess::terminate_gracefully(double grace_seconds) {
   return wait();
 }
 
-ChildProcess spawn_process(const std::vector<std::string>& argv) {
-  check(!argv.empty(), "spawn_process needs a non-empty argv");
-  std::vector<char*> raw = raw_argv(argv);
-
-  const pid_t pid = ::fork();
-  check(pid >= 0, std::string("fork failed: ") + std::strerror(errno));
-  if (pid == 0) {
-    ::execvp(raw[0], raw.data());
-    // Exec failed; 127 is the shell's "command not found" convention and is
-    // what the orchestrator's retry reports will show.
-    ::_exit(127);
-  }
-  return ChildProcess(pid);
-}
-
 ChildProcess spawn_process_piped(const std::vector<std::string>& argv) {
   check(!argv.empty(), "spawn_process_piped needs a non-empty argv");
   int to_child[2] = {-1, -1};    // parent writes [1] -> child stdin [0]
@@ -146,6 +131,8 @@ ChildProcess spawn_process_piped(const std::vector<std::string>& argv) {
     ::close(from_child[0]);
     ::close(from_child[1]);
     ::execvp(raw[0], raw.data());
+    // Exec failed; 127 is the shell's "command not found" convention and is
+    // what the orchestrator's retry reports will show.
     ::_exit(127);
   }
   close_fd(&to_child[0]);

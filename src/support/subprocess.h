@@ -1,20 +1,18 @@
 // Subprocess spawn/reap helper for the dispatch orchestrator.
 //
 // A thin POSIX wrapper sized for process fan-out: spawn an argv vector
-// without a shell, poll for exit without blocking (the orchestrator
+// without a shell, with pipes on the child's stdin and stdout (the session
+// protocol's channel), poll for exit without blocking (the orchestrator
 // multiplexes many children from one thread), kill on timeout, and render
 // exit statuses for failure reports. Exec failures surface as exit code 127
 // (the shell convention) rather than an exception, because by then the
-// failure belongs to the child.
-//
-// For persistent worker sessions the spawn can additionally leave a pipe
-// connected to the child's stdin and stdout (spawn_process_piped); the
-// parent end of the stdout pipe is non-blocking so the orchestrator's
-// single-threaded poll loop can drain many sessions without stalling on a
-// quiet one. Teardown prefers terminate_gracefully — SIGTERM, a short grace
-// period, then SIGKILL — so a worker wrapped in a forwarding parent (an ssh
-// client, a shell trap) gets a chance to propagate the kill to the real
-// process; SIGKILL cannot be forwarded by anything.
+// failure belongs to the child. The parent end of the stdout pipe is
+// non-blocking so the orchestrator's single-threaded poll loop can drain
+// many sessions without stalling on a quiet one. Teardown prefers
+// terminate_gracefully — SIGTERM, a short grace period, then SIGKILL — so a
+// worker wrapped in a forwarding parent (an ssh client, a shell trap) gets a
+// chance to propagate the kill to the real process; SIGKILL cannot be
+// forwarded by anything.
 #pragma once
 
 #include <string>
@@ -35,7 +33,6 @@ namespace cicmon::support {
 class ChildProcess {
  public:
   ChildProcess() = default;
-  explicit ChildProcess(pid_t pid) : pid_(pid) {}
   ChildProcess(pid_t pid, int stdin_fd, int stdout_fd)
       : pid_(pid), stdin_fd_(stdin_fd), stdout_fd_(stdout_fd) {}
   ~ChildProcess() { close_pipes(); }
@@ -59,8 +56,7 @@ class ChildProcess {
   bool valid() const { return pid_ > 0; }
   pid_t pid() const { return pid_; }
 
-  // Parent ends of the child's stdio pipes; -1 when the child was spawned
-  // with inherited stdio.
+  // Parent ends of the child's stdio pipes; -1 once closed.
   int stdin_fd() const { return stdin_fd_; }
   int stdout_fd() const { return stdout_fd_; }
 
@@ -98,15 +94,12 @@ class ChildProcess {
   int stdout_fd_ = -1;
 };
 
-// fork + execvp of `argv` (argv[0] is the program, PATH-resolved). Throws
-// CicError when argv is empty or fork fails; an exec failure makes the child
-// exit 127.
-ChildProcess spawn_process(const std::vector<std::string>& argv);
-
-// Like spawn_process, but with pipes on the child's stdin and stdout (its
-// stderr stays inherited, so worker diagnostics reach the operator). The
-// parent's read end is O_NONBLOCK and both parent ends are close-on-exec so
-// sibling workers cannot hold each other's pipes open.
+// fork + execvp of `argv` (argv[0] is the program, PATH-resolved) with pipes
+// on the child's stdin and stdout (its stderr stays inherited, so worker
+// diagnostics reach the operator). The parent's read end is O_NONBLOCK and
+// both parent ends are close-on-exec so sibling workers cannot hold each
+// other's pipes open. Throws CicError when argv is empty or pipe/fork fails;
+// an exec failure makes the child exit 127.
 ChildProcess spawn_process_piped(const std::vector<std::string>& argv);
 
 // Writes all of `data` to `fd`, retrying short writes and EINTR. Returns

@@ -32,19 +32,18 @@
 // `cicmon dispatch <sweep> ...` is the scale-out driver: it over-decomposes
 // the sweep into shard work items and schedules them through src/dist/ onto
 // persistent worker sessions (`cicmon worker <sweep> ...` processes serving
-// many shards over a framed pipe protocol — the default, including for
-// stdio-forwarding --transport templates like ssh) or exec-per-shard
-// subprocesses (`cicmon <sweep> --shard I/N --out ...`, the fallback for
-// templates with per-item placeholders and --exec-per-shard), streams the
-// merge incrementally as artifacts land, then renders — stdout is
-// byte-identical to the direct invocation. For campaigns the orchestrator
-// ships its own derived golden state down each session's pipe
-// (fault/golden_ser.h), so workers skip their golden runs entirely;
-// --golden-cache DIR additionally persists the encoded golden state on disk,
-// keyed by a canonical hash of the campaign parameters, so repeated
-// dispatches (and exec-per-shard workers sharing the directory) skip the
-// derivation too. `cicmon worker` is the session server side and is not
-// meant to be invoked by hand (its stdout speaks the wire protocol).
+// many shards over a framed pipe protocol, locally or through a
+// stdio-forwarding --transport template like ssh), streams the merge
+// incrementally as artifacts land, then renders — stdout is byte-identical
+// to the direct invocation. For campaigns the orchestrator ships its own
+// derived golden state down each session's pipe (fault/golden_ser.h), so
+// workers skip their golden runs entirely; --golden-cache DIR additionally
+// persists the encoded golden state on disk, keyed by a canonical hash of
+// the campaign parameters, so repeated dispatches (and `--shard` runs
+// sharing the directory) skip the derivation too. A scheduler that cannot
+// forward stdio runs `--shard I/N --out` per shard and `cicmon merge`.
+// `cicmon worker` is the session server side and is not meant to be invoked
+// by hand (its stdout speaks the wire protocol).
 #include <algorithm>
 #include <array>
 #include <charconv>
@@ -112,11 +111,10 @@ struct Options {
   unsigned dispatch_shards = 0;  // 0 = auto (4x workers)
   unsigned retries = 2;
   double timeout = 300.0;  // seconds; 0 = none
-  std::string transport;   // empty = local
+  dist::Transport transport;  // no template = local subprocesses
   std::string dir;         // defaulted when empty
   bool quiet = false;
   bool dry_run = false;
-  bool exec_per_shard = false;
   // --engine as given (empty = build-type default), kept as text so dispatch
   // can forward an explicit choice; the choice itself is applied to the
   // process-wide CpuConfig defaults at parse time.
@@ -126,7 +124,6 @@ struct Options {
   bool checkpoints = true;
   std::uint64_t checkpoint_stride = 0;  // 0 = automatic schedule
   std::string golden_cache;             // empty = no disk cache
-  bool ship_golden = true;
 };
 
 [[noreturn]] void usage(int code);
@@ -159,6 +156,19 @@ double finite_arg(const char* text) {
     usage(2);
   }
   return value;
+}
+
+// Runs a parser that reports malformed input as a CicError (exp::parse_shard,
+// the dist::Transport constructor, the list grammar below) and turns the
+// error into a usage error: its message, then the usage screen, exit 2.
+template <typename Parse>
+auto usage_on_error(Parse parse) {
+  try {
+    return parse();
+  } catch (const support::CicError& error) {
+    std::fprintf(stderr, "cicmon: %s\n", error.what());
+    usage(2);
+  }
 }
 
 std::string text_arg(const char* text) {
@@ -195,11 +205,7 @@ std::vector<unsigned> parse_unsigned_list(std::string_view text, const char* wha
 }
 
 std::vector<unsigned> list_arg(const char* text) {
-  try {
-    return parse_unsigned_list(text, "option value");
-  } catch (const support::CicError&) {
-    usage(2);
-  }
+  return usage_on_error([&] { return parse_unsigned_list(text, "option value"); });
 }
 
 std::string join_list(const std::vector<unsigned>& values) {
@@ -329,8 +335,9 @@ constexpr Flag kFlagTable[] = {
      "(default 0)",
      [](Options& o, const char* value) { o.checkpoint_stride = u64_arg(value); }, kCampaign,
      [](const Options& o) { return std::to_string(o.checkpoint_stride); }, "checkpoint_stride"},
-    // Shared by session and exec-per-shard workers, so even the exec
-    // fallback derives the golden state once per directory, not per shard.
+    // Forwarded to session workers too: one that declines or misses the
+    // shipment loads the cached state, and manual --shard runs sharing the
+    // directory derive the golden state once per directory, not per shard.
     {"--golden-cache", "DIR", Section::kOptions,
      "campaign: cache the derived golden state (image, snapshots, golden result) on disk, "
      "keyed by a canonical hash of the campaign parameters; later runs with the same "
@@ -349,8 +356,8 @@ constexpr Flag kFlagTable[] = {
      "run only the cells owned by shard I of N and write a cicmon-shard-v1 partial artifact, "
      "not the table",
      [](Options& o, const char* value) {
+       usage_on_error([&] { return exp::parse_shard(value); });  // reject malformed I/N up front
        o.shard_text = value;
-       exp::parse_shard(o.shard_text);  // reject malformed I/N up front
      }},
     {"--out", "PATH", Section::kSharding,
      "artifact path (default cicmon-<sweep>-shard-IofN.json); a matching existing artifact is "
@@ -367,11 +374,13 @@ constexpr Flag kFlagTable[] = {
      "count)",
      [](Options& o, const char* value) { o.dispatch_shards = count_arg(value, 1, 10'000'000); }},
     {"--transport", "T", Section::kDispatch,
-     "launch workers through a shell template with {cmd}/{shard}/{out} placeholders, e.g. "
-     "'ssh build-02 cd /repo && {cmd}' (default: local subprocesses); a template using only "
-     "{cmd} forwards stdio and still gets persistent sessions + golden shipping; "
-     "{shard}/{out} force exec-per-shard",
-     [](Options& o, const char* value) { o.transport = text_arg(value); }},
+     "launch workers through a shell template whose {cmd} placeholder becomes the worker "
+     "command, e.g. 'ssh build-02 cd /repo && {cmd}' (default: local subprocesses); the "
+     "template must forward stdio, which carries the session protocol; under a scheduler "
+     "without stdio, run --shard/--out per shard and merge instead",
+     [](Options& o, const char* value) {
+       o.transport = usage_on_error([&] { return dist::Transport(text_arg(value)); });
+     }},
     {"--retries", "R", Section::kDispatch, "extra attempts per shard after a failure (default 2)",
      [](Options& o, const char* value) { o.retries = count_arg(value, 0, 1000); }},
     {"--timeout", "SEC", Section::kDispatch,
@@ -383,17 +392,8 @@ constexpr Flag kFlagTable[] = {
      [](Options& o, const char* value) { o.dir = text_arg(value); }},
     {"--quiet", "", Section::kDispatch, "suppress the live progress/ETA lines on stderr",
      [](Options& o, const char*) { o.quiet = true; }},
-    {"--exec-per-shard", "", Section::kDispatch,
-     "spawn one process per shard instead of persistent worker sessions (sessions are the "
-     "default whenever the transport forwards stdio)",
-     [](Options& o, const char*) { o.exec_per_shard = true; }},
-    {"--ship-golden", "on|off", Section::kDispatch,
-     "campaign: offer the orchestrator's derived golden state to each session worker over the "
-     "wire so the worker skips its own golden run (default on; off exists for A/B "
-     "byte-identity checks)",
-     [](Options& o, const char* value) { o.ship_golden = on_off_arg(value); }},
     {"--dry-run", "", Section::kDispatch,
-     "print the planned shard grid, worker commands, and session mode, then exit without "
+     "print the planned shard grid, transport and session command, then exit without "
      "launching anything",
      [](Options& o, const char*) { o.dry_run = true; }},
 };
@@ -466,9 +466,8 @@ void print_flags(std::FILE* out, Section section) {
   std::fputs(
       "\n"
       "dispatch stdout is byte-identical to the direct invocation of the\n"
-      "same sweep, at any worker/shard count, in either session mode, and\n"
-      "across worker kills and retries. Incremental merge progress streams\n"
-      "to stderr as shards land.\n",
+      "same sweep, at any worker/shard count and across worker kills and\n"
+      "retries. Incremental merge progress streams to stderr as shards land.\n",
       out);
   std::exit(code);
 }
@@ -966,7 +965,6 @@ int write_campaign_json(const std::string& path, const Options& options,
   if (dispatch != nullptr) {
     json.key("dispatch");
     json.begin_object();
-    put(json, "mode", dispatch->persistent ? "sessions" : "exec");
     put_u64(json, "shards", dispatch->shard_count);
     put_u64(json, "reused", dispatch->reused);
     put_u64(json, "launched", dispatch->launched);
@@ -1157,53 +1155,27 @@ int cmd_worker(int argc, char** argv) {
 }
 
 // Prints what `cicmon dispatch` *would* launch — the resolved shard grid,
-// session mode, and worker command lines — without spawning anything. The
-// debugging aid for ssh/cluster --transport templates: the exact /bin/sh
-// command per shard is shown after placeholder expansion.
+// the transport, and the session command line — without spawning anything.
 int print_dispatch_plan(const exp::SweepSpec& spec, const dist::WorkerCommand& base,
-                        const dist::Transport& transport, const dist::DispatchConfig& config,
-                        const std::string& transport_text) {
-  const dist::DispatchPlan plan = dist::plan_dispatch(spec, base, transport, config);
+                        const dist::Transport& transport, const dist::DispatchConfig& config) {
+  const dist::DispatchPlan plan = dist::plan_dispatch(spec, config);
   std::printf("dispatch plan: %s (%zu cells) over %u shards, %u workers, %u jobs/worker\n",
               spec.sweep.c_str(), spec.cells, plan.shards, plan.workers, plan.jobs);
-  std::string mode = "exec per shard, local transport";
-  if (plan.persistent) {
-    mode = transport_text.empty()
-               ? "persistent worker sessions (local pipes)"
-               : "persistent worker sessions (template transport '" + transport_text + "')";
-    if (config.golden != nullptr && !config.golden->empty()) {
-      mode += ", golden state shipped (" + std::to_string(config.golden->bytes) + " bytes, " +
-              std::to_string(config.golden->frames.size()) + " chunk(s))";
-    }
-  } else if (!transport_text.empty()) {
-    mode = "exec per shard, template transport '" + transport_text + "'";
+  std::string mode = "persistent worker sessions (" + transport.describe() + " transport)";
+  if (config.golden != nullptr && !config.golden->empty()) {
+    mode += ", golden state shipped (" + std::to_string(config.golden->bytes) + " bytes, " +
+            std::to_string(config.golden->frames.size()) + " chunk(s))";
   }
   std::printf("mode: %s\n", mode.c_str());
   std::printf("artifact dir: %s\n", config.artifact_dir.c_str());
   std::printf("retries: %u, timeout: %gs, shutdown grace: %gs\n", config.retries,
               config.timeout_seconds, config.shutdown_grace);
-  if (plan.persistent) {
-    std::printf("session command (x%u): %s\n", plan.workers,
-                support::shell_join(dist::session_worker_argv(base, plan.jobs)).c_str());
-  }
+  std::printf("session command (x%u): %s\n", plan.workers,
+              support::shell_join(dist::session_worker_argv(base, plan.jobs)).c_str());
   for (unsigned i = 1; i <= plan.shards; ++i) {
     const exp::Shard shard{i, plan.shards};
-    const dist::WorkItem item{shard,
-                              dist::shard_artifact_path(config.artifact_dir, spec.sweep, shard),
-                              0};
-    if (plan.persistent) {
-      std::printf("shard %u/%u -> %s\n", i, plan.shards, item.artifact_path.c_str());
-    } else {
-      const std::vector<std::string> argv =
-          dist::exec_worker_argv(base, plan.jobs, item, config.force);
-      const std::string command =
-          transport_text.empty()
-              ? support::shell_join(argv)
-              : dist::CommandTemplateTransport::expand(transport_text,
-                                                       dist::WorkerCommand{argv, {}}, item);
-      std::printf("shard %u/%u -> %s\n  %s\n", i, plan.shards, item.artifact_path.c_str(),
-                  command.c_str());
-    }
+    std::printf("shard %u/%u -> %s\n", i, plan.shards,
+                dist::shard_artifact_path(config.artifact_dir, spec.sweep, shard).c_str());
   }
   return 0;
 }
@@ -1228,17 +1200,9 @@ int cmd_dispatch(int argc, char** argv) {
   const SweepBundle bundle = make_sweep(sub, options);
 
   dist::WorkerCommand base;
-  base.argv = {support::current_executable(argv[0]), std::string(sub)};
+  base.argv = {support::current_executable(argv[0]), "worker", std::string(sub)};
   const std::vector<std::string> flags = worker_sweep_flags(sub, options);
   base.argv.insert(base.argv.end(), flags.begin(), flags.end());
-  // Persistent sessions are the default; plan_dispatch falls back to
-  // exec-per-shard when the transport cannot forward stdio to the worker
-  // (templates with per-item placeholders) or on an explicit
-  // --exec-per-shard.
-  if (!options.exec_per_shard) {
-    base.session_argv = {base.argv.front(), "worker", std::string(sub)};
-    base.session_argv.insert(base.session_argv.end(), flags.begin(), flags.end());
-  }
 
   dist::DispatchConfig config;
   config.workers = options.workers;
@@ -1249,7 +1213,9 @@ int cmd_dispatch(int argc, char** argv) {
   config.artifact_dir = options.dir.empty() ? "cicmon-dispatch" : options.dir;
   config.force = options.force;
   config.progress = !options.quiet;
-  if (options.ship_golden && bundle.keepalive != nullptr && !bundle.golden_key.empty()) {
+  // Offered whenever the sweep has golden state (campaigns); a worker whose
+  // key differs declines and derives its own.
+  if (bundle.keepalive != nullptr && !bundle.golden_key.empty()) {
     obs::Span encode_span("dispatch.golden_encode");
     config.golden = std::make_shared<dist::GoldenShipment>(dist::make_golden_shipment(
         bundle.golden_key,
@@ -1257,20 +1223,12 @@ int cmd_dispatch(int argc, char** argv) {
     encode_span.args().add("bytes", config.golden->bytes);
   }
 
-  std::unique_ptr<dist::Transport> transport;
-  if (options.transport.empty()) {
-    transport = std::make_unique<dist::LocalProcessTransport>();
-  } else {
-    transport = std::make_unique<dist::CommandTemplateTransport>(options.transport);
-  }
-
-  if (options.dry_run) {
-    return print_dispatch_plan(bundle.spec, base, *transport, config, options.transport);
-  }
+  if (options.dry_run) return print_dispatch_plan(bundle.spec, base, options.transport, config);
 
   const auto start = std::chrono::steady_clock::now();
   const std::uint64_t run_t_us = obs::trace_now_us();
-  const dist::DispatchResult result = dist::dispatch_sweep(bundle.spec, base, *transport, config);
+  const dist::DispatchResult result =
+      dist::dispatch_sweep(bundle.spec, base, options.transport, config);
   const double wall_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
           .count();
@@ -1279,16 +1237,15 @@ int cmd_dispatch(int argc, char** argv) {
     args.add("sweep", bundle.spec.sweep);
     args.add("shards", static_cast<std::uint64_t>(result.shard_count));
     args.add("workers", static_cast<std::uint64_t>(result.workers_planned));
-    args.add("mode", result.persistent ? "sessions" : "exec");
     obs::trace_span("dispatch.run", run_t_us, args);
   }
-  const char* mode = result.persistent ? "persistent sessions" : "exec per shard";
+  const std::string transport = options.transport.describe();
   if (!result.ok) {
     std::fprintf(stderr,
                  "cicmon: dispatch failed: %zu shard(s) exhausted their attempt budget (%u) "
-                 "via %s (%s transport); completed shards keep their artifacts in '%s' for "
-                 "resume\n",
-                 result.failures.size(), options.retries + 1, mode, transport->describe().c_str(),
+                 "via persistent sessions (%s transport); completed shards keep their artifacts "
+                 "in '%s' for resume\n",
+                 result.failures.size(), options.retries + 1, transport.c_str(),
                  config.artifact_dir.c_str());
     for (const dist::WorkFailure& failure : result.failures) {
       std::fprintf(stderr, "cicmon:   shard %u/%u: %s\n", failure.item.shard.index,
@@ -1297,18 +1254,16 @@ int cmd_dispatch(int argc, char** argv) {
     return 1;
   }
   std::string golden_note;
-  if (result.persistent &&
-      result.golden_shipped + result.golden_cached + result.golden_derived > 0) {
+  if (result.golden_shipped + result.golden_cached + result.golden_derived > 0) {
     golden_note = ", golden " + std::to_string(result.golden_shipped) + " shipped/" +
                   std::to_string(result.golden_cached) + " cached/" +
                   std::to_string(result.golden_derived) + " derived";
   }
   std::fprintf(stderr,
-               "dispatch: %s over %u shards via %s (%s transport): %zu reused, %zu launched, "
-               "%zu retried%s\n",
-               bundle.spec.sweep.c_str(), result.shard_count, mode,
-               transport->describe().c_str(), result.reused, result.launched, result.retried,
-               golden_note.c_str());
+               "dispatch: %s over %u shards via persistent sessions (%s transport): %zu reused, "
+               "%zu launched, %zu retried%s\n",
+               bundle.spec.sweep.c_str(), result.shard_count, transport.c_str(), result.reused,
+               result.launched, result.retried, golden_note.c_str());
   if (result.elapsed_ms > 0 && result.workers_planned > 0 && result.busy_ms > 0) {
     // Worker utilization: summed assignment run wall over the fleet's total
     // slot time; plus how each shard's life split between waiting in the

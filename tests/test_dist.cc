@@ -1,26 +1,23 @@
 // Tests for the distributed campaign orchestrator: work-queue retry budgets,
-// the subprocess helper, transport template expansion, and — through real
-// worker subprocesses — the orchestrator's failure paths in both dispatch
-// modes.
+// the subprocess helper, the transport's template handling, and — through
+// real worker subprocesses — every failure path of the session fleet.
 //
-// Exec mode (script workers): a worker killed mid-shard is re-enqueued and
-// retried, a corrupt artifact is detected and re-run, a timeout kills and
-// retries, and an exhausted attempt budget is reported as a failure while
-// completed shards stay resumable.
-//
-// Persistent-session mode (the real `cicmon worker` binary over pipes, plus
-// sh saboteurs speaking just enough of the wire protocol to misbehave):
-// the v2 handshake rejects protocol/spec skew but only *downgrades* on
-// golden-key skew, and every adversarial input the issue names — truncated
-// frame, checksum mismatch, garbage line, oversized record, worker
-// SIGKILLed mid-record or mid-golden-chunk — tears the session down,
-// retries the shard on a fresh session, and still merges to exactly the
-// direct run's cells. The Cli.* tests run the real `cicmon dispatch` binary
-// end to end and byte-diff its stdout against the direct run with golden
-// shipping on, off, cached, and sabotaged. (CI repeats that over a
-// multi-host-style template transport.) They also pin the CLI's flag table:
-// the strict value grammar, every flag the help screen prints, did-you-mean
-// suggestions, the flags dispatch forwards, and the golden-cache key names.
+// Sessions (the real `cicmon worker` binary over pipes, plus sh saboteurs
+// speaking just enough of the wire protocol to misbehave): the v2 handshake
+// rejects protocol/spec skew but only *downgrades* on golden-key skew, and
+// every adversarial input — truncated frame, checksum mismatch, garbage
+// line, oversized record, worker SIGKILLed mid-record or mid-golden-chunk,
+// a hung assignment, an acked-but-invalid artifact — tears the session down
+// or fails the attempt, retries the shard on a fresh session, and still
+// merges to exactly the direct run's cells. An exhausted retry budget fails
+// only its own shard and leaves the peers resumable, and campaign workers
+// derive the golden state themselves when nothing is shipped. The Cli.*
+// tests run the real `cicmon dispatch` binary end to end and byte-diff its
+// stdout against the direct run with golden shipping on, cached, and
+// sabotaged. (CI repeats that over a multi-host-style template transport.)
+// They also pin the CLI's flag table: the strict value grammar, every flag
+// the help screen prints, did-you-mean suggestions, the flags dispatch
+// forwards, and the golden-cache key names.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -40,10 +37,13 @@
 #include "dist/transport.h"
 #include "dist/work_queue.h"
 #include "exp/sweep.h"
+#include "fault/campaign.h"
+#include "obs/trace.h"
 #include "sim/experiment.h"
 #include "support/error.h"
 #include "support/subprocess.h"
 #include "support/wire.h"
+#include "workloads/workloads.h"
 
 #ifndef CICMON_CLI_PATH
 #define CICMON_CLI_PATH "./cicmon"  // CMake injects the real binary location
@@ -83,34 +83,9 @@ void write_file(const std::string& path, const std::string& content) {
   out << content;
 }
 
-// Precomputes the artifact every shard's worker is supposed to produce, so
-// worker scripts can "run a shard" with a cp.
-void write_good_artifacts(const exp::SweepSpec& spec, unsigned shards, const std::string& dir) {
-  for (unsigned i = 1; i <= shards; ++i) {
-    const exp::Shard shard{i, shards};
-    exp::write_shard_artifact(dir + "/good-" + std::to_string(i) + ".json", spec, shard,
-                              exp::run_cells(spec, shard, 1));
-  }
-}
-
-// A worker as a /bin/sh script: parses the --shard/--out flags the
-// orchestrator appends, runs the per-shard `sabotage` snippet (which sees $i
-// and $out), then installs the premade artifact. Exercises the same
-// spawn/poll/reap machinery the real `cicmon` workers go through.
-WorkerCommand script_worker(const std::string& dir, const std::string& sabotage) {
-  const std::string path = dir + "/worker.sh";
-  write_file(path,
-             "out=\"\"; shard=\"\"\n"
-             "while [ \"$#\" -gt 0 ]; do\n"
-             "  case \"$1\" in\n"
-             "    --out) out=\"$2\"; shift 2 ;;\n"
-             "    --shard) shard=\"$2\"; shift 2 ;;\n"
-             "    *) shift ;;\n"
-             "  esac\n"
-             "done\n"
-             "i=\"${shard%/*}\"\n" +
-                 sabotage + "\ncp \"" + dir + "/good-$i.json\" \"$out\"\n");
-  return WorkerCommand{{"/bin/sh", path}, {}};
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
 }
 
 DispatchConfig test_config(const std::string& dir, unsigned workers, unsigned shards,
@@ -164,24 +139,25 @@ TEST(WorkQueue, PullRetryAndBudgetExhaustion) {
 
 TEST(Subprocess, SpawnReapAndDescribeExitStatuses) {
   int status = 0;
-  EXPECT_EQ(support::spawn_process({"/bin/sh", "-c", "exit 0"}).wait() >> 8, 0);
+  EXPECT_EQ(support::spawn_process_piped({"/bin/sh", "-c", "exit 0"}).wait() >> 8, 0);
 
-  status = support::spawn_process({"/bin/sh", "-c", "exit 3"}).wait();
+  status = support::spawn_process_piped({"/bin/sh", "-c", "exit 3"}).wait();
   EXPECT_FALSE(support::exit_ok(status));
   EXPECT_EQ(support::describe_exit(status), "exit code 3");
 
   // A command that cannot exec comes back as the shell's 127 convention.
-  status = support::spawn_process({"/nonexistent/definitely-not-a-binary"}).wait();
+  status = support::spawn_process_piped({"/nonexistent/definitely-not-a-binary"}).wait();
   EXPECT_EQ(support::describe_exit(status), "exit code 127");
 
   // kill_hard produces a signal status; poll() eventually reaps it.
-  support::ChildProcess child = support::spawn_process({"/bin/sh", "-c", "exec sleep 30"});
+  support::ChildProcess child =
+      support::spawn_process_piped({"/bin/sh", "-c", "exec sleep 30"});
   child.kill_hard();
   status = child.wait();
   EXPECT_FALSE(support::exit_ok(status));
   EXPECT_TRUE(support::describe_exit(status).starts_with("signal 9"));
 
-  EXPECT_THROW(support::spawn_process({}), support::CicError);
+  EXPECT_THROW(support::spawn_process_piped({}), support::CicError);
 }
 
 TEST(Subprocess, ShellQuoting) {
@@ -194,148 +170,40 @@ TEST(Subprocess, ShellQuoting) {
 
 // --- transports ----------------------------------------------------------
 
+// Launches `argv` through `transport` and returns everything it printed.
+std::string launch_and_read(const Transport& transport, const std::vector<std::string>& argv) {
+  support::ChildProcess child = transport.launch(argv);
+  child.close_stdin();
+  std::string out;
+  while (support::read_available(child.stdout_fd(), &out)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(support::exit_ok(child.wait()));
+  return out;
+}
+
 TEST(Transport, TemplateExpansionAndValidation) {
-  const WorkerCommand command{{"cicmon", "table1", "--scale", "0.5"}, {}};
-  const WorkItem item{exp::Shard{2, 7}, "out dir/s.json", 0};
-  EXPECT_EQ(CommandTemplateTransport::expand("ssh host {cmd} # {shard} -> {out}", command, item),
-            "ssh host cicmon table1 --scale 0.5 # 2/7 -> 'out dir/s.json'");
-  // Unknown placeholders and stray braces pass through untouched.
-  EXPECT_EQ(CommandTemplateTransport::expand("{what} { {shard}", command, item), "{what} { 2/7");
-  EXPECT_NO_THROW(CommandTemplateTransport("{cmd}"));
-  EXPECT_THROW(CommandTemplateTransport("ssh host run-it"), support::CicError);
-}
-
-// --- orchestrator --------------------------------------------------------
-
-TEST(Dispatch, MergesToDirectRunAndResumesFromArtifacts) {
-  const std::string dir = make_test_dir("happy");
-  const exp::SweepSpec spec = synthetic_sweep(11);
-  write_good_artifacts(spec, 5, dir);
-  const WorkerCommand base = script_worker(dir, "");
-  LocalProcessTransport transport;
-
-  const DispatchResult result = dispatch_sweep(spec, base, transport, test_config(dir, 3, 5));
-  ASSERT_TRUE(result.ok);
-  EXPECT_EQ(result.shard_count, 5U);
-  EXPECT_EQ(result.launched, 5U);
-  EXPECT_EQ(result.reused, 0U);
-  EXPECT_EQ(result.retried, 0U);
-  EXPECT_EQ(result.cells, exp::run_all(spec, 1));
-
-  // A second dispatch into the same artifact directory reuses every shard
-  // without spawning a single worker.
-  const DispatchResult again = dispatch_sweep(spec, base, transport, test_config(dir, 3, 5));
-  ASSERT_TRUE(again.ok);
-  EXPECT_EQ(again.reused, 5U);
-  EXPECT_EQ(again.launched, 0U);
-  EXPECT_EQ(again.cells, result.cells);
-}
-
-TEST(Dispatch, WorkerKilledMidShardIsReenqueuedAndRetried) {
-  const std::string dir = make_test_dir("killed");
-  const exp::SweepSpec spec = synthetic_sweep(9);
-  write_good_artifacts(spec, 4, dir);
-  // Shard 2's first worker dies by SIGKILL before producing an artifact; the
-  // retry succeeds.
-  const WorkerCommand base = script_worker(
-      dir,
-      "if [ \"$i\" = 2 ] && [ ! -e \"" + dir + "/marker-$i\" ]; then\n"
-      "  : > \"" + dir + "/marker-$i\"\n"
-      "  kill -9 $$\n"
-      "fi");
-  LocalProcessTransport transport;
-
-  const DispatchResult result = dispatch_sweep(spec, base, transport, test_config(dir, 2, 4));
-  ASSERT_TRUE(result.ok);
-  EXPECT_EQ(result.retried, 1U);
-  EXPECT_EQ(result.launched, 5U);  // 4 shards + 1 retry
-  EXPECT_EQ(result.cells, exp::run_all(spec, 1));
-  EXPECT_TRUE(std::filesystem::exists(dir + "/marker-2"));  // the kill fired
-}
-
-TEST(Dispatch, HungWorkerIsKilledOnTimeoutAndRetried) {
-  const std::string dir = make_test_dir("timeout");
-  const exp::SweepSpec spec = synthetic_sweep(6);
-  write_good_artifacts(spec, 3, dir);
-  const WorkerCommand base = script_worker(
-      dir,
-      "if [ \"$i\" = 1 ] && [ ! -e \"" + dir + "/marker-$i\" ]; then\n"
-      "  : > \"" + dir + "/marker-$i\"\n"
-      "  exec sleep 30\n"
-      "fi");
-  LocalProcessTransport transport;
-
-  DispatchConfig config = test_config(dir, 3, 3);
-  config.timeout_seconds = 0.5;
-  const DispatchResult result = dispatch_sweep(spec, base, transport, config);
-  ASSERT_TRUE(result.ok);
-  EXPECT_EQ(result.retried, 1U);
-  EXPECT_EQ(result.cells, exp::run_all(spec, 1));
-}
-
-TEST(Dispatch, CorruptArtifactIsDetectedAndRerun) {
-  const std::string dir = make_test_dir("corrupt");
-  const exp::SweepSpec spec = synthetic_sweep(10);
-  write_good_artifacts(spec, 4, dir);
-  // Shard 3's first worker exits cleanly but leaves a truncated artifact —
-  // the merge-time validation must catch it at reap time and retry.
-  const WorkerCommand base = script_worker(
-      dir,
-      "if [ \"$i\" = 3 ] && [ ! -e \"" + dir + "/marker-$i\" ]; then\n"
-      "  : > \"" + dir + "/marker-$i\"\n"
-      "  printf '{\"schema\": \"cicmon-shard-v1\", \"swee' > \"$out\"\n"
-      "  exit 0\n"
-      "fi");
-  LocalProcessTransport transport;
-
-  const DispatchResult result = dispatch_sweep(spec, base, transport, test_config(dir, 2, 4));
-  ASSERT_TRUE(result.ok);
-  EXPECT_EQ(result.retried, 1U);
-  EXPECT_EQ(result.cells, exp::run_all(spec, 1));
-}
-
-TEST(Dispatch, ExhaustedRetriesReportFailureAndKeepPeersResumable) {
-  const std::string dir = make_test_dir("exhausted");
-  const exp::SweepSpec spec = synthetic_sweep(12);
-  write_good_artifacts(spec, 5, dir);
-  // Shard 4 fails every attempt (exit 7, no artifact); the others succeed.
-  const WorkerCommand base =
-      script_worker(dir, "if [ \"$i\" = 4 ]; then exit 7; fi");
-  LocalProcessTransport transport;
-
-  const DispatchResult result =
-      dispatch_sweep(spec, base, transport, test_config(dir, 2, 5, /*retries=*/1));
-  ASSERT_FALSE(result.ok);
-  EXPECT_TRUE(result.cells.empty());
-  ASSERT_EQ(result.failures.size(), 1U);
-  EXPECT_EQ(result.failures[0].item.shard.index, 4U);
-  EXPECT_EQ(result.failures[0].item.attempts, 2U);  // first run + 1 retry
-  EXPECT_NE(result.failures[0].reason.find("exit code 7"), std::string::npos)
-      << result.failures[0].reason;
-
-  // The four completed shards left valid artifacts behind: a re-dispatch
-  // with a healthy worker reuses them and only runs the failed shard.
-  const DispatchResult fixed =
-      dispatch_sweep(spec, script_worker(dir, ""), transport, test_config(dir, 2, 5));
-  ASSERT_TRUE(fixed.ok);
-  EXPECT_EQ(fixed.reused, 4U);
-  EXPECT_EQ(fixed.launched, 1U);
-  EXPECT_EQ(fixed.cells, exp::run_all(spec, 1));
-}
-
-TEST(Dispatch, TemplateTransportRunsWorkersThroughTheShell) {
-  const std::string dir = make_test_dir("template");
-  const exp::SweepSpec spec = synthetic_sweep(7);
-  write_good_artifacts(spec, 3, dir);
-  const WorkerCommand base = script_worker(dir, "");
-  // A wrapper that logs the shard then runs the worker command — the shape
-  // an ssh or cluster-submit template takes.
-  CommandTemplateTransport transport("echo {shard} >> " + dir + "/launches.txt && {cmd}");
-
-  const DispatchResult result = dispatch_sweep(spec, base, transport, test_config(dir, 2, 3));
-  ASSERT_TRUE(result.ok);
-  EXPECT_EQ(result.cells, exp::run_all(spec, 1));
-  EXPECT_TRUE(std::filesystem::exists(dir + "/launches.txt"));
+  const std::vector<std::string> argv = {"printf", "%s|", "a", "b c"};
+  EXPECT_EQ(launch_and_read(Transport(), argv), "a|b c|");
+  EXPECT_EQ(Transport().describe(), "local");
+  // Every {cmd} becomes the shell-quoted worker command; unknown
+  // placeholders and stray braces pass through untouched.
+  const Transport wrapped("echo {what} { && {cmd} && {cmd}");
+  EXPECT_EQ(launch_and_read(wrapped, argv), "{what} {\na|b c|a|b c|");
+  EXPECT_EQ(wrapped.describe(), "template 'echo {what} { && {cmd} && {cmd}'");
+  EXPECT_THROW(Transport("ssh host run-it"), support::CicError);
+  // Per-shard placeholders are rejected with a pointer to the manual
+  // --shard/--out + merge route.
+  for (const char* retired : {"run {shard} {cmd}", "{cmd} --out {out}"}) {
+    try {
+      const Transport transport(retired);
+      ADD_FAILURE() << "accepted " << retired;
+    } catch (const support::CicError& error) {
+      EXPECT_NE(std::string(error.what()).find("--shard I/N --out"), std::string::npos)
+          << error.what();
+      EXPECT_NE(std::string(error.what()).find("cicmon merge"), std::string::npos);
+    }
+  }
 }
 
 // --- persistent worker sessions -----------------------------------------
@@ -483,20 +351,15 @@ const std::vector<exp::CellResult>& session_direct_cells() {
 }
 
 WorkerCommand cli_worker_command() {
-  WorkerCommand base;
-  base.argv = {CICMON_CLI_PATH, "table1", "--scale", exp::fmt_f64(kSessionScale)};
-  base.session_argv = {CICMON_CLI_PATH, "worker", "table1", "--scale",
-                       exp::fmt_f64(kSessionScale)};
-  return base;
+  return {{CICMON_CLI_PATH, "worker", "table1", "--scale", exp::fmt_f64(kSessionScale)}};
 }
 
 TEST(Sessions, ServeManyShardsPerProcessAndMergeToTheDirectRun) {
   const std::string dir = make_test_dir("sessions_happy");
-  LocalProcessTransport transport;
+  const Transport transport;
   const DispatchResult result =
       dispatch_sweep(session_sweep(), cli_worker_command(), transport, test_config(dir, 2, 5));
   ASSERT_TRUE(result.ok);
-  EXPECT_TRUE(result.persistent);
   EXPECT_EQ(result.shard_count, 5U);
   EXPECT_EQ(result.launched, 2U);  // 2 sessions served 5 shards — the whole point
   EXPECT_EQ(result.retried, 0U);
@@ -517,7 +380,7 @@ TEST(Sessions, FlakyEnvHookKillsWorkerMidRecordAndTheShardIsRetried) {
   // 2/4 writes half a done record and SIGKILLs itself.
   ASSERT_EQ(setenv("CICMON_WORKER_FLAKY", "2/4", 1), 0);
   ASSERT_EQ(setenv("CICMON_WORKER_FLAKY_MARKER", (dir + "/markers").c_str(), 1), 0);
-  LocalProcessTransport transport;
+  const Transport transport;
   const DispatchResult result =
       dispatch_sweep(session_sweep(), cli_worker_command(), transport, test_config(dir, 1, 4));
   unsetenv("CICMON_WORKER_FLAKY");
@@ -529,18 +392,35 @@ TEST(Sessions, FlakyEnvHookKillsWorkerMidRecordAndTheShardIsRetried) {
   EXPECT_TRUE(std::filesystem::exists(dir + "/markers/2of4"));
 }
 
+// The script lines that consume one record shaped like `frame` from stdin:
+// a record's JSON payload spans several lines, and a script that reads
+// fewer would take the rest of it for the next record.
+std::string read_record_like(const std::string& frame) {
+  std::string lines;
+  for (const char c : frame) {
+    if (c == '\n') lines += "read -r line\n";
+  }
+  return lines;
+}
+
 // The worker half of a v2 handshake, as precomputed frames plus the script
-// lines that replay it: hello out, consume the golden offer (header line +
-// payload line), decline it, report ready — enough for a /bin/sh "worker" to
-// reach the assignment loop exactly as the real binary does.
+// lines that replay it: hello out, consume the (empty) golden offer, decline
+// it, report ready — enough for a /bin/sh "worker" to reach the assignment
+// loop exactly as the real binary does.
 std::string scripted_handshake(const std::string& dir, const exp::SweepSpec& spec) {
   write_file(dir + "/hello.bin", support::wire_frame(encode_hello(spec.sweep, "")));
   write_file(dir + "/ack.bin", support::wire_frame(encode_golden_ack(false)));
   write_file(dir + "/ready.bin", support::wire_frame(encode_ready(spec, "derived")));
-  return "cat \"" + dir + "/hello.bin\"\n"
-         "read offer_header; read offer_payload\n"
+  return "cat \"" + dir + "/hello.bin\"\n" +
+         read_record_like(support::wire_frame(encode_golden_offer("", 0, 0))) +
          "cat \"" + dir + "/ack.bin\"\n"
          "cat \"" + dir + "/ready.bin\"\n";
+}
+
+// Consumes one whole assignment record; the artifact path is a single line,
+// so every assignment spans the same number of lines.
+std::string read_assignment() {
+  return read_record_like(support::wire_frame(encode_assign(exp::Shard{1, 1}, "a", false)));
 }
 
 TEST(Sessions, IdleSessionIsNotKilledByItsCompletedAssignmentsDeadline) {
@@ -554,7 +434,7 @@ TEST(Sessions, IdleSessionIsNotKilledByItsCompletedAssignmentsDeadline) {
   write_file(dir + "/done.bin",
              support::wire_frame(encode_done(exp::Shard{1, 2}, artifact, false, 3)));
   const std::string path = dir + "/idle.sh";
-  write_file(path, scripted_handshake(dir, spec) + "read assign_header\ncat \"" + dir +
+  write_file(path, scripted_handshake(dir, spec) + read_assignment() + "cat \"" + dir +
                        "/done.bin\"\nexec sleep 30\n");
   using Clock = WorkerSession::Clock;
   WorkerSession session(support::spawn_process_piped({"/bin/sh", path}), nullptr,
@@ -616,7 +496,7 @@ TEST(Sessions, FailedAssignWriteLeavesTheItemWithTheCaller) {
 }
 
 // A saboteur session: speaks a valid v2 handshake (precomputed by the test,
-// declining the golden offer), waits for its first assignment, emits
+// declining the golden offer), reads its first assignment, emits
 // `sabotage` as the response, and exits. Every later launch (the mkdir is
 // atomic, so exactly one saboteur fires) execs the real worker binary, which
 // serves the retried shard properly.
@@ -626,16 +506,13 @@ WorkerCommand saboteur_command(const std::string& dir, const std::string& sabota
   const std::string path = dir + "/session.sh";
   write_file(path,
              "if mkdir \"" + dir + "/sabotaged\" 2> /dev/null; then\n" +
-                 handshake +
-             "  read assign_header\n" +  // sync: an assignment is in flight
+                 handshake + read_assignment() +  // sync: an assignment is in flight
                  sabotage + "\n"
              "  exit 0\n"
              "fi\n"
              "exec " + std::string(CICMON_CLI_PATH) + " worker table1 --scale " +
                  exp::fmt_f64(kSessionScale) + " --jobs 1\n");
-  WorkerCommand base = cli_worker_command();
-  base.session_argv = {"/bin/sh", path};
-  return base;
+  return {{"/bin/sh", path}};
 }
 
 // Shared body for the adversarial-wire-input tests: one worker slot, three
@@ -662,7 +539,7 @@ void expect_sabotage_recovered(const char* tag, const std::string& sabotage_temp
     sabotage.replace(pos, 5, dir);
   }
 
-  LocalProcessTransport transport;
+  const Transport transport;
   const DispatchResult result = dispatch_sweep(session_sweep(), saboteur_command(dir, sabotage),
                                                transport, test_config(dir, 1, 3));
   ASSERT_TRUE(result.ok) << tag << ": " << (result.failures.empty()
@@ -710,9 +587,8 @@ TEST(Sessions, ProtocolVersionSkewIsASetupErrorNotARetryLoop) {
   out.close();
   const std::string path = dir + "/future.sh";
   write_file(path, "cat \"" + dir + "/hello.bin\"\nread ignored\nexit 0\n");
-  WorkerCommand base = cli_worker_command();
-  base.session_argv = {"/bin/sh", path};
-  LocalProcessTransport transport;
+  const WorkerCommand base{{"/bin/sh", path}};
+  const Transport transport;
   // retries+1 consecutive handshake failures = the worker command is broken.
   EXPECT_THROW(dispatch_sweep(spec, base, transport, test_config(dir, 1, 3)),
                support::CicError);
@@ -722,38 +598,22 @@ TEST(Sessions, SpecSkewedWorkerFailsTheHandshake) {
   const std::string dir = make_test_dir("sessions_skew");
   // A real worker, wrong flags: derives table1 at another scale, so its
   // hello reports different params — caught before any shard is wasted.
-  WorkerCommand base = cli_worker_command();
-  base.session_argv = {CICMON_CLI_PATH, "worker", "table1", "--scale", "0.5"};
-  LocalProcessTransport transport;
+  const WorkerCommand base{{CICMON_CLI_PATH, "worker", "table1", "--scale", "0.5"}};
+  const Transport transport;
   EXPECT_THROW(dispatch_sweep(session_sweep(), base, transport, test_config(dir, 1, 3)),
                support::CicError);
 }
 
-TEST(Sessions, ExecPerShardRemainsTheFallbackWhenNoSessionCommandIsGiven) {
-  const std::string dir = make_test_dir("sessions_fallback");
-  WorkerCommand base = cli_worker_command();
-  base.session_argv.clear();  // what a template transport / --exec-per-shard does
-  LocalProcessTransport transport;
-  const DispatchResult result =
-      dispatch_sweep(session_sweep(), base, transport, test_config(dir, 2, 3));
-  ASSERT_TRUE(result.ok);
-  EXPECT_FALSE(result.persistent);
-  EXPECT_EQ(result.launched, 3U);  // one exec per shard
-  EXPECT_EQ(result.cells, session_direct_cells());
-}
-
 TEST(Sessions, TemplateTransportCarriesSessionsWhenItForwardsStdio) {
-  // The ssh-style case: a template with no per-item placeholders wraps the
-  // session command once per worker slot and forwards stdio, so a multi-host
-  // fleet gets persistent sessions (and golden shipping) instead of falling
-  // back to exec-per-shard.
+  // The ssh-style case: the template wraps the session command once per
+  // worker slot and forwards stdio, so a multi-host fleet gets persistent
+  // sessions (and golden shipping).
   const std::string dir = make_test_dir("sessions_template");
-  CommandTemplateTransport transport("echo launched >> " + dir + "/launches.txt && {cmd}");
+  const Transport transport("echo launched >> " + dir + "/launches.txt && {cmd}");
   const DispatchResult result =
       dispatch_sweep(session_sweep(), cli_worker_command(), transport, test_config(dir, 2, 5));
   ASSERT_TRUE(result.ok) << (result.failures.empty() ? "?" : result.failures.front().reason);
-  EXPECT_TRUE(result.persistent);
-  EXPECT_EQ(result.launched, 2U);  // sessions, not five exec workers
+  EXPECT_EQ(result.launched, 2U);  // two sessions served five shards
   EXPECT_EQ(result.cells, session_direct_cells());
   EXPECT_TRUE(std::filesystem::exists(dir + "/launches.txt"));
 }
@@ -767,7 +627,7 @@ TEST(Sessions, GoldenKeySkewDowngradesShippingNotTheWorker) {
   DispatchConfig config = test_config(dir, 2, 4);
   config.golden = std::make_shared<GoldenShipment>(
       make_golden_shipment("1234567890abcdef", "not-a-real-golden-blob"));
-  LocalProcessTransport transport;
+  const Transport transport;
   const DispatchResult result =
       dispatch_sweep(session_sweep(), cli_worker_command(), transport, config);
   ASSERT_TRUE(result.ok) << (result.failures.empty() ? "?" : result.failures.front().reason);
@@ -775,16 +635,107 @@ TEST(Sessions, GoldenKeySkewDowngradesShippingNotTheWorker) {
   EXPECT_EQ(result.cells, session_direct_cells());
 }
 
+TEST(Sessions, HungSessionTimesOutAndTheShardIsRetried) {
+  // The saboteur takes its assignment and never answers: the per-item
+  // deadline tears the session down and a fresh session serves the shard.
+  const std::string dir = make_test_dir("sessions_hung");
+  DispatchConfig config = test_config(dir, 1, 3);
+  config.timeout_seconds = 0.5;
+  ASSERT_TRUE(obs::open_trace(dir + "/trace.jsonl", "test"));
+  const DispatchResult result =
+      dispatch_sweep(session_sweep(), saboteur_command(dir, "exec sleep 30"), Transport(), config);
+  obs::close_trace();
+  ASSERT_TRUE(result.ok) << (result.failures.empty() ? "?" : result.failures.front().reason);
+  EXPECT_EQ(result.retried, 1U);
+  EXPECT_EQ(result.cells, session_direct_cells());
+  // The session.failed trace event carries the teardown reason.
+  EXPECT_NE(read_file(dir + "/trace.jsonl").find("assignment timed out"), std::string::npos);
+}
+
+TEST(Sessions, InvalidArtifactWithAGoodAckIsAFailedAttempt) {
+  // The saboteur writes a truncated artifact and acks it with a well-formed
+  // done record: the artifact checks, not the ack, decide. It then takes a
+  // second assignment and exits. With no retry budget both of its shards
+  // fail; a re-dispatch serves them and merges to the direct run.
+  const std::string dir = make_test_dir("sessions_bad_ack");
+  const DispatchConfig config = test_config(dir, 1, 3, /*retries=*/0);
+  const exp::Shard first{1, 3};
+  const std::string artifact = shard_artifact_path(config.artifact_dir, "table1", first);
+  write_file(dir + "/done.bin", support::wire_frame(encode_done(first, artifact, false, 2)));
+  const WorkerCommand saboteur = saboteur_command(
+      dir, "  printf '{\"schema\": \"cicmon-shard-v1\", \"swee' > \"" + artifact + "\"\n"
+           "  cat \"" + dir + "/done.bin\"\n"
+           "  read -r next_assignment");
+  const DispatchResult result = dispatch_sweep(session_sweep(), saboteur, Transport(), config);
+  ASSERT_FALSE(result.ok);
+  ASSERT_EQ(result.failures.size(), 2U);
+  EXPECT_EQ(result.failures[0].item.shard.index, 1U);
+  EXPECT_NE(result.failures[0].reason.find("worker acked an invalid artifact"), std::string::npos)
+      << result.failures[0].reason;
+  EXPECT_EQ(result.failures[1].item.shard.index, 2U);
+
+  const DispatchResult fixed =
+      dispatch_sweep(session_sweep(), saboteur, Transport(), test_config(dir, 1, 3));
+  ASSERT_TRUE(fixed.ok) << (fixed.failures.empty() ? "?" : fixed.failures.front().reason);
+  EXPECT_EQ(fixed.reused, 1U);
+  EXPECT_EQ(fixed.cells, session_direct_cells());
+}
+
+TEST(Sessions, ExhaustedRetryBudgetFailsOnlyThatShardAndPeersStayResumable) {
+  const std::string dir = make_test_dir("sessions_exhausted");
+  // The death hook kills the first worker to serve shard 2/4, and the
+  // budget allows no retry.
+  ASSERT_EQ(setenv("CICMON_WORKER_FLAKY", "2/4", 1), 0);
+  ASSERT_EQ(setenv("CICMON_WORKER_FLAKY_MARKER", (dir + "/markers").c_str(), 1), 0);
+  const DispatchResult result = dispatch_sweep(session_sweep(), cli_worker_command(),
+                                               Transport(), test_config(dir, 1, 4, /*retries=*/0));
+  unsetenv("CICMON_WORKER_FLAKY");
+  unsetenv("CICMON_WORKER_FLAKY_MARKER");
+  ASSERT_FALSE(result.ok);
+  EXPECT_TRUE(result.cells.empty());
+  ASSERT_EQ(result.failures.size(), 1U);
+  EXPECT_EQ(result.failures[0].item.shard.index, 2U);
+  EXPECT_EQ(result.failures[0].item.attempts, 1U);
+
+  // The three completed shards left valid artifacts behind: a re-dispatch
+  // reuses them and only runs the failed shard.
+  const DispatchResult fixed = dispatch_sweep(session_sweep(), cli_worker_command(),
+                                              Transport(), test_config(dir, 1, 4));
+  ASSERT_TRUE(fixed.ok) << (fixed.failures.empty() ? "?" : fixed.failures.front().reason);
+  EXPECT_EQ(fixed.reused, 3U);
+  EXPECT_EQ(fixed.launched, 1U);
+  EXPECT_EQ(fixed.cells, session_direct_cells());
+}
+
+TEST(Sessions, CampaignWorkersDeriveTheGoldenStateWhenNothingIsShipped) {
+  // A campaign dispatched through the library with config.golden unset:
+  // every session worker pays its own golden run, and the merge still
+  // equals the direct cells.
+  const std::string dir = make_test_dir("sessions_derive");
+  cpu::CpuConfig machine;
+  machine.monitoring = true;
+  machine.cic.iht_entries = 16;
+  const fault::CampaignRunner runner(workloads::build_workload("bitcount", {0.02, 42}), machine);
+  exp::SweepSpec spec = runner.sweep(fault::FaultSite::kMemoryText, 1, 48, 9);
+  // The parameters `cicmon worker campaign` records next to the runner's.
+  spec.params.insert(spec.params.end(),
+                     {{"workload", "bitcount"},
+                      {"scale", exp::fmt_f64(0.02)},
+                      {"monitor", "on"},
+                      {"golden_instructions", std::to_string(runner.golden_instructions())}});
+  const WorkerCommand base{{CICMON_CLI_PATH, "worker", "campaign", "--workload", "bitcount",
+                            "--scale", "0.02", "--site", "memory-text", "--trials", "48",
+                            "--seed", "9"}};
+  const DispatchResult result = dispatch_sweep(spec, base, Transport(), test_config(dir, 2, 4));
+  ASSERT_TRUE(result.ok) << (result.failures.empty() ? "?" : result.failures.front().reason);
+  EXPECT_EQ(result.golden_derived, 2U);
+  EXPECT_EQ(result.golden_shipped, 0U);
+  EXPECT_EQ(result.cells, exp::run_all(spec, 1));
+}
+
 // --- the real CLI end to end: golden shipping on the dispatch path ---------
 
-int run_cli(const std::string& shell_command) {
-  return support::spawn_process({"/bin/sh", "-c", shell_command}).wait();
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-}
+int run_cli(const std::string& shell_command) { return std::system(shell_command.c_str()); }
 
 // One tiny campaign, used by every CLI-level test below.
 std::string campaign_flags() {
@@ -814,15 +765,6 @@ TEST(Cli, DispatchedCampaignGoldenShippingIsByteIdenticalToTheDirectRun) {
     cached |= entry.path().string().ends_with(".golden");
   }
   EXPECT_TRUE(cached);
-
-  // Shipping off: every worker derives locally — byte-identical output.
-  ASSERT_TRUE(support::exit_ok(run_cli(
-      cli + " dispatch campaign" + campaign_flags() + " --workers 2 --shards 4 --quiet" +
-      " --ship-golden off --dir " + dir + "/a2 > " + dir + "/noship.txt 2> " + dir +
-      "/noship.err")));
-  EXPECT_EQ(read_file(dir + "/noship.txt"), direct);
-  EXPECT_NE(read_file(dir + "/noship.err").find("2 derived"), std::string::npos)
-      << read_file(dir + "/noship.err");
 
   // A rerun against the same cache starts from the cached blob (orchestrator
   // side) and still ships — and still matches byte for byte.
@@ -854,10 +796,7 @@ TEST(Cli, WorkerKilledMidGoldenChunkIsReplacedAndStillMergesByteIdentical) {
 
 // Runs `cicmon <args>` with stderr captured; returns the exit code.
 int run_cli_capturing(const std::string& args, const std::string& err_path) {
-  return support::spawn_process({"/bin/sh", "-c",
-                                 std::string(CICMON_CLI_PATH) + " " + args + " > /dev/null 2> " +
-                                     err_path})
-      .wait();
+  return run_cli(std::string(CICMON_CLI_PATH) + " " + args + " > /dev/null 2> " + err_path);
 }
 
 TEST(Cli, MalformedFlagValuesAreUsageErrors) {
@@ -867,7 +806,9 @@ TEST(Cli, MalformedFlagValuesAreUsageErrors) {
   // an accepted value shows up as exit 0.
   for (const char* bad : {"--scale nan", "--scale inf", "--scale 1x", "--scale 0",
                           "--seed foo", "--seed 12abc", "--checkpoint-stride -1",
-                          "--jobs ''", "--timeout nan", "--trials 5x"}) {
+                          "--jobs ''", "--timeout nan", "--trials 5x", "--shard 3/2",
+                          "--shard 1/0", "--shard x", "--transport 'ssh host'",
+                          "--transport 'run {shard} {cmd}'"}) {
     const int status = run_cli_capturing(std::string("workloads ") + bad, err);
     EXPECT_EQ(support::describe_exit(status), "exit code 2") << bad << ": " << read_file(err);
     EXPECT_NE(read_file(err).find("usage: cicmon"), std::string::npos) << bad;
@@ -963,35 +904,20 @@ TEST(Cli, GoldenCacheFileNamesArePinned) {
   }
 }
 
-TEST(Dispatch, PlanResolvesCountsAndSessionMode) {
+TEST(Dispatch, PlanResolvesWorkerShardAndJobCounts) {
   const exp::SweepSpec spec = synthetic_sweep(10);
   DispatchConfig config;
   config.workers = 3;
-  WorkerCommand base{{"sh"}, {"sh", "worker"}};
-  LocalProcessTransport local;
-  DispatchPlan plan = plan_dispatch(spec, base, local, config);
+  DispatchPlan plan = plan_dispatch(spec, config);
   EXPECT_EQ(plan.workers, 3U);
   EXPECT_EQ(plan.shards, 10U);  // 4x workers capped at the cell count
-  EXPECT_TRUE(plan.persistent);
-  config.persistent = false;
-  EXPECT_FALSE(plan_dispatch(spec, base, local, config).persistent);
-  config.persistent = true;
-  // A stdio-forwarding template carries sessions; per-item placeholders pin
-  // the template to exec-per-shard.
-  CommandTemplateTransport forwarding("ssh host {cmd}");
-  EXPECT_TRUE(forwarding.supports_sessions());
-  EXPECT_TRUE(plan_dispatch(spec, base, forwarding, config).persistent);
-  CommandTemplateTransport pinned("run {cmd} --shard {shard} --out {out}");
-  EXPECT_FALSE(pinned.supports_sessions());
-  EXPECT_FALSE(plan_dispatch(spec, base, pinned, config).persistent);
-  base.session_argv.clear();
-  EXPECT_FALSE(plan_dispatch(spec, base, local, config).persistent);
-  // exec_worker_argv is the exact sharded-run invocation.
-  const WorkItem item{exp::Shard{2, 5}, "runs/synthetic-2of5.shard.json", 0};
-  EXPECT_EQ(exec_worker_argv(base, 2, item, true),
-            (std::vector<std::string>{"sh", "--jobs", "2", "--shard", "2/5", "--out",
-                                      "runs/synthetic-2of5.shard.json", "--force"}));
-  EXPECT_EQ(session_worker_argv(WorkerCommand{{"sh"}, {"sh", "worker"}}, 3),
+  EXPECT_GE(plan.jobs, 1U);
+  config.workers = 2;
+  config.jobs_per_worker = 5;
+  plan = plan_dispatch(spec, config);
+  EXPECT_EQ(plan.shards, 8U);
+  EXPECT_EQ(plan.jobs, 5U);
+  EXPECT_EQ(session_worker_argv(WorkerCommand{{"sh", "worker"}}, 3),
             (std::vector<std::string>{"sh", "worker", "--jobs", "3"}));
 }
 
@@ -1002,9 +928,9 @@ TEST(Dispatch, ShardArtifactPathNamesSweepAndCoordinates) {
 
 TEST(Dispatch, RejectsEmptySweepsAndCommands) {
   const exp::SweepSpec empty;
-  LocalProcessTransport transport;
+  const Transport transport;
   const DispatchConfig config;
-  EXPECT_THROW(dispatch_sweep(empty, WorkerCommand{{"sh"}, {}}, transport, config),
+  EXPECT_THROW(dispatch_sweep(empty, WorkerCommand{{"sh"}}, transport, config),
                support::CicError);
   EXPECT_THROW(dispatch_sweep(synthetic_sweep(3), WorkerCommand{}, transport, config),
                support::CicError);
