@@ -1,10 +1,13 @@
 // google-benchmark microbenchmarks of the simulator's own hot paths —
-// simulation throughput (instructions/second), HASHFU steps, and IHT
-// lookups and fills — so regressions in the substrate itself are visible.
+// simulation throughput (instructions/second), golden-run recording, HASHFU
+// steps, and IHT lookups and fills — so regressions in the substrate itself
+// are visible.
 #include <benchmark/benchmark.h>
 
 #include "cic/iht.h"
 #include "cpu/cpu.h"
+#include "cpu/snapshot.h"
+#include "fault/golden.h"
 #include "hash/hash_unit.h"
 #include "workloads/workloads.h"
 
@@ -29,6 +32,29 @@ void BM_SimulateBitcount(benchmark::State& state) {
   state.SetLabel(monitoring ? "monitored" : "baseline");
 }
 BENCHMARK(BM_SimulateBitcount)->Arg(0)->Arg(1);
+
+// A fault campaign's set-up: recording the checkpointed golden run (auto
+// snapshot schedule) on the default engine, from a preloaded image. Arg 0 is
+// dijkstra on CIC16 (campaign-bus's golden), arg 1 stringsearch on the
+// baseline machine (a run long enough for the schedule to thin).
+void BM_GoldenRecord(benchmark::State& state) {
+  const bool dijkstra = state.range(0) == 0;
+  const casm_::Image image =
+      workloads::build_workload(dijkstra ? "dijkstra" : "stringsearch", {1.0, 42});
+  cpu::CpuConfig config;
+  config.monitoring = dijkstra;
+  config.cic.iht_entries = 16;
+  const cpu::LoadedImage loaded = cpu::preload_image(config, image);
+  std::uint64_t instructions = 0;
+  for (auto _ : state) {
+    const fault::CheckpointedGolden golden(config, image, loaded, 0);
+    instructions += golden.result().instructions;
+    benchmark::DoNotOptimize(golden.snapshot_count());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(instructions));
+  state.SetLabel(dijkstra ? "dijkstra CIC16" : "stringsearch baseline");
+}
+BENCHMARK(BM_GoldenRecord)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_HashStep(benchmark::State& state) {
   const auto kind = static_cast<hash::HashKind>(state.range(0));

@@ -15,6 +15,11 @@ Optional assertions for CI:
   --expect-span NAME=N     exactly N spans named NAME
   --expect-command CMD     header names subcommand CMD
   --expect-counter NAME=N  the metrics footer records counter NAME == N
+  --expect-counter-instants NAME=INSTANT
+                           the metrics footer records counter NAME equal to
+                           the number of instants named INSTANT in the trace
+                           (for counts that depend on timing, such as
+                           golden shipments to replacement sessions)
 
 Exits 0 when the trace is valid, 1 with a message on stderr otherwise.
 """
@@ -29,14 +34,14 @@ def fail(line_no, message):
     sys.exit(1)
 
 
-def parse_expect(values, what):
+def parse_expect(values, what, want="N"):
     out = {}
     for item in values:
-        name, sep, count = item.partition("=")
-        if not sep or not count.isdigit():
-            print(f"check_trace: bad {what} '{item}' (want NAME=N)", file=sys.stderr)
+        name, sep, value = item.partition("=")
+        if not sep or not name or not (value.isdigit() if want == "N" else value):
+            print(f"check_trace: bad {what} '{item}' (want NAME={want})", file=sys.stderr)
             sys.exit(2)
-        out[name] = int(count)
+        out[name] = int(value) if want == "N" else value
     return out
 
 
@@ -45,11 +50,15 @@ def main():
     parser.add_argument("trace", help="cicmon-trace-v1 JSONL file")
     parser.add_argument("--expect-span", action="append", default=[], metavar="NAME=N")
     parser.add_argument("--expect-counter", action="append", default=[], metavar="NAME=N")
+    parser.add_argument("--expect-counter-instants", action="append", default=[],
+                        metavar="NAME=INSTANT")
     parser.add_argument("--expect-command", metavar="CMD")
     args = parser.parse_args()
 
     expect_spans = parse_expect(args.expect_span, "--expect-span")
     expect_counters = parse_expect(args.expect_counter, "--expect-counter")
+    expect_counter_instants = parse_expect(args.expect_counter_instants,
+                                           "--expect-counter-instants", want="INSTANT")
 
     with open(args.trace, "r", encoding="utf-8") as handle:
         lines = [line for line in handle.read().split("\n") if line]
@@ -69,6 +78,7 @@ def main():
         fail(1, f"command is {command!r}, expected {args.expect_command!r}")
 
     span_counts = {}
+    instant_counts = {}
     events = 0
     metrics = None
     last_ev = None
@@ -103,6 +113,8 @@ def main():
             if not isinstance(dur_us, int) or dur_us < 0:
                 fail(line_no, f"span '{name}' has bad dur_us {dur_us!r}")
             span_counts[name] = span_counts.get(name, 0) + 1
+        else:
+            instant_counts[name] = instant_counts.get(name, 0) + 1
 
     if metrics is None:
         fail(len(lines), "no metrics footer")
@@ -117,6 +129,12 @@ def main():
         got = metrics["counters"].get(name)
         if got != want:
             fail(len(lines), f"expected counter {name}={want}, found {got!r}")
+    for name, instant in expect_counter_instants.items():
+        got = metrics["counters"].get(name, 0)
+        want = instant_counts.get(instant, 0)
+        if got != want:
+            fail(len(lines), f"expected counter {name} to equal the {want} '{instant}' "
+                             f"instant(s), found {got}")
 
     print(f"check_trace: OK — {events} event(s), {sum(span_counts.values())} span(s), "
           f"{len(metrics['counters'])} counter(s)")

@@ -1,5 +1,7 @@
 #include "cpu/cpu.h"
 
+#include <algorithm>
+
 #include "cpu/snapshot.h"
 #include "obs/metrics.h"
 #include "support/bitops.h"
@@ -534,18 +536,33 @@ void Cpu::publish_metrics() const {
   }
 }
 
-RunResult Cpu::run() {
-  if (threaded_) return run_threaded();
-  while (running_) {
-    if (auto done = step(); done.has_value()) return *done;
-  }
+bool Cpu::at_cut() {
+  if (result_.instructions < limit_) return false;
+  if (limit_ >= config_.max_instructions) terminate(ExitReason::kWatchdog, 0);
+  return true;
+}
+
+std::optional<RunResult> Cpu::stop_result() {
+  // Paused: result_.iht/.os stay as step() leaves them mid-run, unsynced —
+  // snapshots copy result_, so syncing here would make a paused machine
+  // differ from a stepped one.
+  if (running_) return std::nullopt;
   return finish_result();
 }
+
+std::optional<RunResult> Cpu::run_until(std::uint64_t n) {
+  limit_ = std::min(n, config_.max_instructions);
+  if (threaded_) return run_threaded();
+  while (running_ && !at_cut()) step();
+  return stop_result();
+}
+
+RunResult Cpu::run() { return *run_until(config_.max_instructions); }
 
 // --- Threaded engine -------------------------------------------------------
 //
 // One fused handler replaces the per-uop interpretation of one instruction.
-// Every handler runs the same prologue as step() — watchdog, checkpoint,
+// Every handler runs the same prologue as step() — the cut, checkpoint,
 // the real fetch path (hash step, bus, I-cache), stall accounting, post-ID
 // fault — then compares the word the pipeline carries against the entry's
 // translation tag. A mismatch means the text changed since translation (bus
@@ -637,17 +654,16 @@ Cpu::FusedFlow Cpu::fused_step(const uop::TransEntry& e) {
   // Prologue: step()'s exact per-instruction order. Mid-block entries skip
   // the wild-PC check only — non-terminators never redirect, and translation
   // never crosses the text end, so e.addr is always a valid text address.
-  // Batched entries also skip the watchdog, recovery and post-ID checks (the
+  // Batched entries also skip the cut, recovery and post-ID checks (the
   // per-block precheck in run_threaded proved none can fire inside the
   // straight-line run) and the instr_addr/PPC/redirect stores (straight-line
   // kinds never redirect, raise, or read them). The real fetch path and the
   // tag compare are never skipped: tamper safety stays per dynamic
   // instruction.
   if constexpr (!Batched) {
-    if (result_.instructions >= config_.max_instructions) {
-      terminate(ExitReason::kWatchdog, 0);
-      return FusedFlow::kDone;
-    }
+    // The cut (a pause, or the watchdog) stops the run before this
+    // instruction changes any state.
+    if (at_cut()) return FusedFlow::kDone;
     ctx_.instr_addr = e.addr;
     if (config_.recovery.enabled && config_.monitoring &&
         special_[sp(uop::SpecialReg::kSta)] == 0) {
@@ -756,7 +772,7 @@ Cpu::FusedFlow Cpu::fused_step(const uop::TransEntry& e) {
   return FusedFlow::kNext;
 }
 
-RunResult Cpu::run_threaded() {
+std::optional<RunResult> Cpu::run_threaded() {
   // Recovery checkpoints key on "STA == 0 at fetch", a per-instruction
   // predicate the batched prologue elides — recovery runs force the
   // unbatched handlers for every entry.
@@ -766,11 +782,7 @@ RunResult Cpu::run_threaded() {
   // installed right after the next lookup/translate produces that successor.
   uop::TranslatedBlock* link_from = nullptr;
   bool link_taken = false;
-  while (running_) {
-    if (result_.instructions >= config_.max_instructions) {
-      terminate(ExitReason::kWatchdog, 0);
-      break;
-    }
+  while (running_ && !at_cut()) {
     const std::uint32_t addr = special_[sp(uop::SpecialReg::kCpc)];
     if (addr < text_base_ || addr >= text_end_ || (addr & 3U) != 0) {
       terminate(ExitReason::kWildPc, 0);
@@ -792,10 +804,13 @@ RunResult Cpu::run_threaded() {
     cur_block_start_ = block->start;
     e = block->entries.data();
     // Batched accounting is only valid when nothing can interrupt the
-    // straight-line prefix: the watchdog must not trip inside it, no post-ID
-    // fault may land on one of its dynamic indices, and recovery is off. The
-    // terminator always runs unbatched, after the batch is flushed, and
-    // re-checks everything against the flushed counters. The deferred RHASH
+    // straight-line prefix: the cut must not fall inside it or at its end, no
+    // post-ID fault may land on one of its dynamic indices, and recovery is
+    // off. The terminator always runs unbatched, after the batch is flushed,
+    // and re-checks everything against the flushed counters. The strict
+    // bound keeps a pause off a batch's end: the instruction before a paused
+    // boundary is always unbatched, so PPC and pc_redirected_ hold what
+    // step() leaves there. The deferred RHASH
     // fold further needs the block to open its check region (STA clear,
     // RHASH at its reset value; always so unmonitored, where neither is
     // written): a block entered mid-region — after a syscall, a forced
@@ -804,7 +819,7 @@ RunResult Cpu::run_threaded() {
         !unbatched_only &&
         special_[sp(uop::SpecialReg::kSta)] == 0 &&
         special_[sp(uop::SpecialReg::kRhash)] == rhash_reset &&
-        result_.instructions + block->straight_len <= config_.max_instructions &&
+        result_.instructions + block->straight_len < limit_ &&
         (!post_id_fault_.has_value() || post_id_fault_->index < result_.instructions ||
          post_id_fault_->index >= result_.instructions + block->straight_len);
     batch_base_ = e;
@@ -859,7 +874,7 @@ RunResult Cpu::run_threaded() {
         // live in this run's view. A link into an owned block is live by
         // construction (owned blocks sever eagerly); a base block dead in
         // this view keeps its inbound links but is never entered through
-        // them. The watchdog is covered by the per-block
+        // them. The cut is covered by the per-block
         // precheck plus the unbatched terminator handlers, and the link
         // target was verified to be a text address when the edge was
         // resolved — the outer loop's checks are subsumed, not skipped.
@@ -874,7 +889,7 @@ RunResult Cpu::run_threaded() {
       }
     }
   }
-  return finish_result();
+  return stop_result();
 }
 
 }  // namespace cicmon::cpu

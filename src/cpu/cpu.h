@@ -188,11 +188,22 @@ class Cpu final : private uop::Datapath {
   Cpu(const Cpu&) = delete;
   Cpu& operator=(const Cpu&) = delete;
 
-  // Runs to completion (or termination / watchdog). Callable once.
+  // Runs the configured engine until exactly `n` instructions have retired
+  // in total, then pauses at that instruction boundary and returns nullopt.
+  // A paused machine is in exactly the state step() leaves there (so a
+  // snapshot of it equals the stepped one), and resumes with another
+  // run_until or run(). Returns the final result instead when the program
+  // ends first (exit, termination, or the watchdog: a cut at or past
+  // max_instructions trips it rather than pausing). Returns nullopt at once
+  // when `n` instructions have already retired and the program is running.
+  std::optional<RunResult> run_until(std::uint64_t n);
+
+  // Runs to completion (or termination / watchdog):
+  // run_until(max_instructions), which always ends the run.
   RunResult run();
 
-  // Single-step interface for tests: executes one instruction. Returns
-  // nullopt while the program is still running.
+  // Single-step interface on the interpreter (any engine): executes one
+  // instruction. Returns nullopt while the program is still running.
   std::optional<RunResult> step();
   RunResult finish_result();  // result so far (after a terminal step)
 
@@ -271,6 +282,10 @@ class Cpu final : private uop::Datapath {
   void attach_loaded(const LoadedImage& loaded);
 
   void terminate(ExitReason reason, std::uint32_t code);
+  // True once limit_ instructions have retired: the run stops at this
+  // boundary, tripping the watchdog when the cut is max_instructions and
+  // pausing otherwise.
+  CICMON_HOT_INLINE bool at_cut();
 
   // IF of one dynamic instruction. fetch_and_hash is the canonical fetch
   // program as straight-line code: the real fetch path (bus, I-cache),
@@ -324,10 +339,10 @@ class Cpu final : private uop::Datapath {
   // next entry, leave the block along its taken or fall-through edge (the
   // chain-follow candidates), return to the block loop (indirect edge, PC
   // redirect by a generic program, rollback, or tag mismatch handled), or
-  // stop (program terminated).
+  // stop (program terminated, or the run reached its cut).
   enum class FusedFlow : std::uint8_t { kNext, kTaken, kFall, kRestart, kDone };
   // One fused handler per kind. Batched (straight-line kinds only) skips the
-  // per-entry watchdog/recovery/post-ID checks (proven impossible by the
+  // per-entry cut/recovery/post-ID checks (proven impossible by the
   // per-block precheck in run_threaded) and defers the retire/cycle bump and
   // the RHASH fold to flush_batch. The real fetch path, the STA latch and the
   // tag compare are never skipped — tamper safety stays per dynamic
@@ -349,7 +364,11 @@ class Cpu final : private uop::Datapath {
   // Translates the block at text address `addr` into the translation cache.
   CICMON_NOINLINE uop::TranslatedBlock* translate(std::uint32_t addr);
   void monitor_block_end();
-  RunResult run_threaded();
+  // run_until on the threaded engine, to the cut in limit_.
+  std::optional<RunResult> run_threaded();
+  // What run_until returns once the engine stopped: nullopt when paused at
+  // the cut, else the final result.
+  std::optional<RunResult> stop_result();
 
   CpuConfig config_;
   // Immutable after construction; shared across trial Cpus when constructed
@@ -414,6 +433,11 @@ class Cpu final : private uop::Datapath {
 
   RunResult result_;
   bool running_ = true;
+  // The instruction cut of the current run_until: min(n, max_instructions).
+  // Both engines stop at the boundary where this many have retired; the
+  // threaded engine's per-block batch precheck and unbatched per-entry check
+  // compare against it.
+  std::uint64_t limit_ = 0;
   bool pc_redirected_ = false;               // set_pc ran this instruction
   std::optional<std::uint8_t> pending_exc_;  // monitor exception raised in ID
   std::optional<PostIdFault> post_id_fault_;

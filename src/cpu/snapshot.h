@@ -83,6 +83,8 @@ void build_block_base(const CpuConfig& config, const casm_::Image& image,
                       std::span<const std::uint32_t> seeds, LoadedImage* loaded);
 
 struct Snapshot {
+  bool operator==(const Snapshot&) const = default;
+
   std::uint64_t instructions = 0;   // == result.instructions, hoisted for search
   std::uint64_t bus_transfers = 0;  // words fetched over the bus so far
 

@@ -101,6 +101,16 @@ CampaignRunner::CampaignRunner(const casm_::Image& image, const cpu::CpuConfig& 
 
   cpu::RunResult result;
   if (checkpoints_.enabled) {
+    // The recording starts warm from a block base seeded at the entry point,
+    // so it translates only what the static edges miss. Recorded cold, its
+    // own blocks are allocated between the snapshots it keeps and freed
+    // after, which moves where the trial base built below lands in the heap:
+    // campaign-bus trials then measured about 5% slower (a malloc_trim after
+    // the cold recording won most of that back).
+    if (config_.engine == cpu::Engine::kThreaded) {
+      const std::uint32_t entry[] = {loaded_.entry};
+      cpu::build_block_base(config_, image_, entry, &loaded_);
+    }
     golden_ = std::make_unique<CheckpointedGolden>(config_, image_, loaded_,
                                                    checkpoints_.stride);
     result = golden_->result();
@@ -261,17 +271,14 @@ TrialResult CampaignRunner::run_trial(const FaultSpec& spec) const {
 
   std::optional<cpu::RunResult> result;
   if (spec.site == FaultSite::kICacheLine) {
-    // Mid-run injection needs instruction-granular stepping, so this site
-    // walks the interpreter from the restored snapshot (or from zero with
-    // checkpoints off) until the trigger fires, then hands the rest of the
-    // run to the configured engine. Every other site's fault is armed before
-    // the run, so the whole trial executes through cpu.run() — the
-    // threaded-vs-switch A/B campaigns rely on trials actually exercising
-    // the engine under test.
+    // Mid-run injection: the configured engine runs from the restored
+    // snapshot (or from zero with checkpoints off) and pauses exactly at the
+    // trigger, the flips land in the resident lines, and cpu.run() resumes.
+    // Every other site's fault is armed before the run, so the whole trial
+    // executes through cpu.run(). Either way the whole trial runs on the
+    // engine under test, which the threaded-vs-switch A/B campaigns rely on.
     support::Rng icache_rng(spec.trigger_index * 0x9E3779B97F4A7C15ULL + spec.xor_mask);
-    while (!result.has_value() && cpu.instructions_retired() < spec.trigger_index) {
-      result = cpu.step();
-    }
+    result = cpu.run_until(spec.trigger_index);
     if (!result.has_value()) {
       mem::ICache* icache = cpu.fetch_path().icache();
       if (icache != nullptr) {

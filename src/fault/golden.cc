@@ -20,12 +20,11 @@ CheckpointedGolden::CheckpointedGolden(const cpu::CpuConfig& config,
   snapshots_.emplace_back();
   cpu.save_snapshot(&snapshots_.back());  // snapshot 0: pre-execution state
 
+  // Each run_until pauses the configured engine at the next due boundary,
+  // in exactly the state single-stepping would leave there.
   std::uint64_t next_due = stride_;
   std::optional<cpu::RunResult> done;
-  while (!done.has_value()) {
-    done = cpu.step();
-    if (done.has_value()) break;
-    if (cpu.instructions_retired() < next_due) continue;
+  while (!(done = cpu.run_until(next_due)).has_value()) {
     if (auto_stride && snapshots_.size() >= kAutoMaxSnapshots) {
       // Budget reached: double the stride and thin to the surviving grid
       // (every other snapshot, starting at 0), exactly what recording at the

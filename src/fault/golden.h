@@ -43,8 +43,9 @@ class CheckpointedGolden {
                      std::uint64_t stride);
 
   // The golden run's final result (this class doubles as THE golden run —
-  // recording uses the single-step interface, whose results are bit-identical
-  // to any engine's run()).
+  // recording runs the configured engine with Cpu::run_until from one
+  // snapshot boundary to the next, and a paused machine is bit-identical to
+  // a single-stepped one, so the snapshots and result match any engine's).
   const cpu::RunResult& result() const { return result_; }
 
   std::uint64_t stride() const { return stride_; }

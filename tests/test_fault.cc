@@ -2,6 +2,7 @@
 // guarantee (§6.3), baseline traps, and campaign determinism.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -9,9 +10,11 @@
 #include "casm/builder.h"
 #include "exp/sweep.h"
 #include "fault/campaign.h"
+#include "fault/golden_ser.h"
 #include "support/bitops.h"
 #include "support/rng.h"
 #include "support/strings.h"
+#include "uop/uop.h"
 #include "workloads/workloads.h"
 
 namespace cicmon::fault {
@@ -330,6 +333,121 @@ TEST(Campaign, RecoveryModeDisablesCheckpoints) {
   }());
   EXPECT_EQ(runner.restores(), 0U);
   (void)trial;  // the point is that the trial runs at all under recovery
+}
+
+// --- Golden recording on the fast path ---------------------------------------
+
+// The schedule a CheckpointedGolden at resolved stride `stride` must hold,
+// recorded independently by single-stepping the interpreter: the
+// pre-execution state, then a snapshot at every multiple of `stride`
+// retired instructions. Its last element is the final result.
+std::pair<std::vector<cpu::Snapshot>, cpu::RunResult> stepped_recording(
+    const cpu::CpuConfig& config, const casm_::Image& image, const cpu::LoadedImage& loaded,
+    std::uint64_t stride) {
+  cpu::Cpu cpu(config, image, &loaded);
+  std::vector<cpu::Snapshot> snapshots(1);
+  cpu.save_snapshot(&snapshots.back());
+  std::optional<cpu::RunResult> done;
+  while (!(done = cpu.step()).has_value()) {
+    if (cpu.instructions_retired() % stride != 0) continue;
+    snapshots.emplace_back();
+    cpu.save_snapshot(&snapshots.back());
+  }
+  return {std::move(snapshots), *done};
+}
+
+GoldenState golden_state(const cpu::LoadedImage& loaded, std::vector<cpu::Snapshot> snapshots,
+                         std::uint64_t stride, cpu::RunResult result) {
+  GoldenState state;
+  state.image_pages = *loaded.pages;
+  state.fht_blob = loaded.fht.serialize();
+  state.fht_was_attached = loaded.fht_was_attached;
+  state.entry = loaded.entry;
+  state.snapshots = std::move(snapshots);
+  state.stride = stride;
+  state.result = std::move(result);
+  return state;
+}
+
+// `golden` must hold exactly the stepped schedule at its resolved stride,
+// snapshot by snapshot, and serialize to the same bytes.
+void expect_stepped_recording(const CheckpointedGolden& golden, const cpu::CpuConfig& config,
+                              const casm_::Image& image, const cpu::LoadedImage& loaded) {
+  auto [stepped, result] = stepped_recording(config, image, loaded, golden.stride());
+  EXPECT_EQ(golden.result(), result);
+  ASSERT_EQ(golden.snapshot_count(), stepped.size());
+  for (std::size_t i = 0; i < stepped.size(); ++i) {
+    EXPECT_EQ(golden.snapshots()[i], stepped[i]) << "snapshot " << i;
+  }
+  const std::string key = golden_key({{"test", "fast-recording"}});
+  EXPECT_EQ(encode_golden(golden_state(loaded, golden.snapshots(), golden.stride(),
+                                       golden.result()),
+                          key),
+            encode_golden(golden_state(loaded, std::move(stepped), golden.stride(),
+                                       std::move(result)),
+                          key));
+}
+
+TEST(Golden, FastRecordingEqualsSteppedRecording) {
+  // CheckpointedGolden pauses the configured engine at each due boundary
+  // with run_until; every snapshot must equal what single-stepping leaves
+  // there, on both engines, or golden blobs and cache files would change.
+  cpu::CpuConfig cic16 = monitored_config();
+  cic16.cic.iht_entries = 16;
+  cpu::CpuConfig cic16_icache = cic16;
+  cic16_icache.icache.enabled = true;
+  const std::pair<const char*, cpu::CpuConfig> machines[] = {
+      {"baseline", cpu::CpuConfig{}}, {"CIC16", cic16}, {"CIC16+I-cache", cic16_icache}};
+  const std::pair<const char*, std::uint64_t> schedules[] = {{"auto", 0}, {"stride 97", 97}};
+  for (const char* name : {"bitcount", "dijkstra", "sha"}) {
+    const casm_::Image image = workloads::build_workload(name, {0.02, 42});
+    for (const auto& [machine, base] : machines) {
+      for (const cpu::Engine engine : {cpu::Engine::kSwitch, cpu::Engine::kThreaded}) {
+        cpu::CpuConfig config = base;
+        config.engine = engine;
+        const cpu::LoadedImage loaded = cpu::preload_image(config, image);
+        for (const auto& [schedule, stride] : schedules) {
+          SCOPED_TRACE(std::string(name) + ", " + machine + ", " +
+                       std::string(cpu::engine_name(engine)) + ", " + schedule);
+          expect_stepped_recording(CheckpointedGolden(config, image, loaded, stride), config,
+                                   image, loaded);
+        }
+      }
+    }
+  }
+
+  cpu::CpuConfig config = cic16;
+  config.engine = cpu::Engine::kThreaded;
+  {
+    // stringsearch runs past kAutoMaxSnapshots initial strides, so the auto
+    // schedule doubles its stride and thins mid-recording.
+    SCOPED_TRACE("stringsearch, auto-thinned");
+    const casm_::Image image = workloads::build_workload("stringsearch", {0.01, 42});
+    const cpu::LoadedImage loaded = cpu::preload_image(config, image);
+    const CheckpointedGolden golden(config, image, loaded, 0);
+    EXPECT_GT(golden.stride(), CheckpointedGolden::kAutoInitialStride);
+    expect_stepped_recording(golden, config, image, loaded);
+  }
+  {
+    // A campaign without the I-cache records the I-cache golden lazily, on
+    // the first icache-line trial, through a LoadedImage whose translated-
+    // block base is already built (seeded as CampaignRunner seeds it), so
+    // the recording machine starts warm.
+    SCOPED_TRACE("dijkstra, lazy I-cache recording over a block base");
+    const casm_::Image image = workloads::build_workload("dijkstra", {0.1, 42});
+    cpu::LoadedImage loaded = cpu::preload_image(config, image);
+    const CheckpointedGolden main(config, image, loaded, 0);
+    std::vector<std::uint32_t> seeds = {loaded.entry};
+    for (const cpu::Snapshot& snapshot : main.snapshots()) {
+      seeds.push_back(snapshot.special[static_cast<std::size_t>(uop::SpecialReg::kCpc)]);
+    }
+    cpu::build_block_base(config, image, seeds, &loaded);
+    ASSERT_NE(loaded.blocks, nullptr);
+    cpu::CpuConfig icache = config;
+    icache.icache.enabled = true;
+    expect_stepped_recording(CheckpointedGolden(icache, image, loaded, 0), icache, image,
+                             loaded);
+  }
 }
 
 TEST(Names, SitesAndOutcomes) {

@@ -20,6 +20,7 @@
 #include "uop/threaded.h"
 #include "uop/translate_cache.h"
 #include "uop/uop.h"
+#include "workloads/workloads.h"
 
 namespace cicmon::uop {
 namespace {
@@ -1026,6 +1027,81 @@ TEST(ThreadedBoundary, WatchdogAndPostIdCutsAtEveryInstructionMatchInterpreter) 
       results[engine == cpu::Engine::kSwitch ? 0 : 1] = cpu.run();
     }
     EXPECT_EQ(results[0], results[1]);
+  }
+}
+
+cpu::Snapshot snapshot_of(const cpu::Cpu& cpu) {
+  cpu::Snapshot snapshot;
+  cpu.save_snapshot(&snapshot);
+  return snapshot;
+}
+
+// Pauses `config`'s engine with run_until at every dynamic instruction k of
+// `image`'s run and holds it to a step()-driven twin: the paused machine's
+// snapshot equals the twin's at k, both for one machine paused at every k in
+// turn and for a fresh machine cut once at k; a repeated or earlier cut
+// returns at once without moving; resuming with run() ends exactly as the
+// uninterrupted run(); and a cut past the end returns that final result.
+void expect_run_until_pauses_like_step(const casm_::Image& image, const cpu::CpuConfig& config) {
+  // Every machine reads one preloaded image, so a fresh one is cheap.
+  const cpu::LoadedImage loaded = cpu::preload_image(config, image);
+  const cpu::RunResult full = cpu::Cpu(config, image, &loaded).run();
+  const std::uint64_t total = full.instructions;
+  cpu::Cpu twin(config, image, &loaded);
+  cpu::Cpu paused(config, image, &loaded);
+  for (std::uint64_t k = 0; k <= total; ++k) {
+    SCOPED_TRACE("cut " + std::to_string(k));
+    ASSERT_EQ(twin.instructions_retired(), k);
+    const cpu::Snapshot stepped = snapshot_of(twin);
+
+    ASSERT_EQ(paused.run_until(k), std::nullopt);
+    EXPECT_EQ(snapshot_of(paused), stepped);
+    EXPECT_EQ(paused.run_until(k), std::nullopt);
+    if (k > 0) {
+      EXPECT_EQ(paused.run_until(k - 1), std::nullopt);
+    }
+    EXPECT_EQ(snapshot_of(paused), stepped);
+
+    cpu::Cpu cut(config, image, &loaded);
+    ASSERT_EQ(cut.run_until(k), std::nullopt);
+    EXPECT_EQ(snapshot_of(cut), stepped);
+    EXPECT_EQ(cut.run(), full);
+
+    if (k < total) {
+      ASSERT_EQ(twin.step(), std::nullopt);
+    }
+  }
+  EXPECT_EQ(paused.run_until(total + 1), full);
+  EXPECT_EQ(twin.step(), full);
+  EXPECT_EQ(cpu::Cpu(config, image, &loaded).run_until(total + 1), full);
+  EXPECT_EQ(cpu::Cpu(config, image, &loaded).run_until(UINT64_MAX), full);
+}
+
+TEST(ThreadedBoundary, RunUntilPausesAtEveryInstructionLikeStep) {
+  // The cut moves across every block boundary and every point inside a
+  // batched prefix, as with the watchdog above; a pause there must leave
+  // exactly what single-stepping leaves, on both engines, because golden
+  // recordings snapshot paused machines.
+  const casm_::Image kernel = every_kind_kernel();
+  const casm_::Image sha = workloads::build_workload("sha", {0.01, 42});
+  for (const cpu::Engine engine : {cpu::Engine::kSwitch, cpu::Engine::kThreaded}) {
+    SCOPED_TRACE(std::string(cpu::engine_name(engine)));
+    cpu::CpuConfig plain;
+    plain.engine = engine;
+    {
+      SCOPED_TRACE("every-kind kernel, monitored, I-cache");
+      expect_run_until_pauses_like_step(kernel, boundary_config(engine));
+    }
+    {
+      SCOPED_TRACE("every-kind kernel, baseline");
+      expect_run_until_pauses_like_step(kernel, plain);
+    }
+    {
+      SCOPED_TRACE("sha, CIC16, I-cache");
+      cpu::CpuConfig config = boundary_config(engine);
+      config.cic.iht_entries = 16;
+      expect_run_until_pauses_like_step(sha, config);
+    }
   }
 }
 
